@@ -69,7 +69,9 @@ pub fn framework_trace(
     };
     rounds.push(all_to_all(elem)); // y_j
     rounds.push(all_to_all(elem)); // proof commitments
-    rounds.push(all_to_all(scalar)); // challenge shares
+                                   // Challenge shares: every verifier broadcasts one per foreign prover,
+                                   // so each sums the same challenge — n·(n−1)² messages.
+    rounds.push((1..n).flat_map(|_| all_to_all(scalar)).collect());
     rounds.push(all_to_all(scalar)); // responses
 
     // Step 6: bitwise encryptions broadcast.
@@ -223,6 +225,42 @@ mod tests {
         // Chain hops are single messages.
         assert_eq!(trace[9].len(), 1);
         assert!(trace_bytes(&trace) > 0);
+    }
+
+    #[test]
+    fn keygen_rounds_match_the_implementation_log() {
+        use ppgr_core::{FrameworkParams, GroupRanking, Questionnaire};
+        let (n, m, t) = (4, 3, 1);
+        let params = FrameworkParams::builder(Questionnaire::synthetic(t, m - t))
+            .participants(n)
+            .top_k(2)
+            .attr_bits(6)
+            .weight_bits(3)
+            .mask_bits(6)
+            .group(GroupKind::Ecc160)
+            .seed(3)
+            .build()
+            .unwrap();
+        let l = params.beta_bits();
+        let ranking = GroupRanking::new(params).with_random_population();
+        let log = ranking.traffic_log();
+        ranking.run().unwrap();
+        let keygen: Vec<(usize, usize, usize)> = log
+            .records()
+            .iter()
+            .filter(|r| r.phase == "sort/keys" || r.phase == "sort/zkp")
+            .map(|r| (r.from, r.to, r.bytes))
+            .collect();
+        let mut modelled: Vec<(usize, usize, usize)> =
+            framework_trace(GroupKind::Ecc160, n, l, m, t, 2)[2..6]
+                .iter()
+                .flatten()
+                .map(|msg| (msg.from, msg.to, msg.bytes))
+                .collect();
+        let mut logged = keygen;
+        logged.sort_unstable();
+        modelled.sort_unstable();
+        assert_eq!(logged, modelled);
     }
 
     #[test]

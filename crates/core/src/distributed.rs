@@ -1,13 +1,15 @@
-//! A genuinely distributed execution of the framework: every party is an
-//! OS thread, and every protocol message crosses a channel as *encoded
-//! bytes* ([`crate::wire`]) — no shared state beyond the public
-//! parameters.
+//! The mesh driver: every party is an OS thread running the per-party
+//! round code ([`crate::party`]), and every protocol message crosses a
+//! channel as *encoded bytes* ([`crate::wire`]) — no shared state beyond
+//! the public parameters.
 //!
-//! The orchestrated runner ([`crate::GroupRanking`]) is the instrumented
-//! reference (per-party timing, traffic logs); this module demonstrates
-//! that the very same protocol runs correctly as a message-passing system
-//! and is the starting point for a networked deployment. Integration
-//! tests assert both runners produce identical rankings.
+//! This module holds no protocol arithmetic. It is a loop that frames the
+//! [`Party`]/[`Initiator`] messages, plus the checks a network needs and
+//! an in-process run does not: deadlines, structural checks on received
+//! ciphertext sets, the keygen share echo, abort frames
+//! and consensus blame. The same parties run in process
+//! ([`crate::GroupRanking`]) emit byte-identical messages, so both drivers
+//! rank identically, tie order included.
 //!
 //! # Fault tolerance
 //!
@@ -23,23 +25,20 @@
 //! tests; see `docs/FAULTS.md` for the fault model.
 
 use crate::attrs::{InfoVector, InitiatorProfile};
-use crate::circuit::compare_encrypted;
-use crate::gain::to_unsigned;
+use crate::offline::{PartyStock, StockFingerprint};
 use crate::params::FrameworkParams;
-use crate::submit::{verify_submissions, Submission, VerificationReport};
+use crate::party::{emit, Codec, Initiator, Msg, Node, Party, Round, Transcript};
+use crate::sorting::SortOptions;
+use crate::submit::VerificationReport;
 use crate::timing::PartyTimer;
-use crate::wire::{parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer};
+use crate::wire::{parse_frame, AbortFrame, AbortKind, Frame, Writer};
 use bytes::Bytes;
-use ppgr_bigint::Fp;
-use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message};
-use ppgr_elgamal::{encrypt_bits, Ciphertext, ExpElGamal, JointKey, KeyPair};
+use ppgr_elgamal::Ciphertext;
 use ppgr_group::{Group, Scalar};
-use ppgr_hash::{HashDrbg, Sha256};
+use ppgr_hash::Sha256;
 use ppgr_net::{
     CrashStash, FaultPlan, FaultyMesh, LocalMesh, MeshError, Phase, PhaseBudget, TrafficLog,
 };
-use ppgr_zkp::{verify_batch, SchnorrProver, SchnorrTranscript};
-use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::error::Error;
@@ -233,6 +232,9 @@ struct Ctx {
     /// Number of participants (the mesh holds `n + 1` parties).
     n: usize,
     budget: PhaseBudget,
+    codec: Codec,
+    /// Where every [`Msg`] this party sends is recorded, if anywhere.
+    tap: Option<Transcript>,
     /// Seen-abort latch: the first abort frame this party accepted, with
     /// the lane that delivered it. Only the first frame is re-broadcast
     /// and only the first frame determines this party's exit error —
@@ -243,18 +245,52 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn new(net: Net, me: usize, n: usize, budget: PhaseBudget) -> Self {
+    fn new(
+        net: Net,
+        me: usize,
+        params: &FrameworkParams,
+        budget: PhaseBudget,
+        tap: Option<Transcript>,
+    ) -> Self {
         Ctx {
             net,
             me,
-            n,
+            n: params.participants(),
             budget,
+            codec: Codec::new(params.group().group()),
+            tap,
             seen: RefCell::new(None),
         }
     }
-}
 
-impl Ctx {
+    /// Frames `msg` (an encoding failure blames this party) and sends it to
+    /// `to`: one receiver, or a broadcast to every other participant.
+    fn send_msg(&self, to: &[usize], msg: &Msg) -> Result<(), DistributedError> {
+        let bytes = msg
+            .encode(&self.codec)
+            .map_err(|e| self.protocol(self.me, e))?;
+        match to {
+            [j] => self.send(*j, bytes),
+            _ => self.bcast_participants(&bytes),
+        }
+    }
+
+    /// Receives `round`'s message from `from`, decoding it (undecodable
+    /// bytes blame `from`). Waits that legitimately span upstream work get
+    /// scaled allowances: the initiator serves the gain in id order, the
+    /// chain reaches `P_j` after `j − 1` hops and returns after `n − 1`,
+    /// and the submission gather spans the whole session.
+    fn recv_msg(&self, round: Round, from: usize) -> Result<Msg, DistributedError> {
+        let (me, n) = (self.me, self.n);
+        let payload = match round {
+            Round::Submit => self.recv_within(from, self.budget.session_total(n))?,
+            Round::GainReply(_) => self.recv_scaled(from, me as u32)?,
+            Round::Hop(i) => self.recv_scaled(from, (if i < n { me } else { n }) as u32)?,
+            _ => self.recv_scaled(from, 1)?,
+        };
+        Msg::decode(round, n, &self.codec, payload).map_err(|e| self.protocol(from, e))
+    }
+
     /// Declares entry into `phase` (scripted crashes fire here).
     fn enter(&self, phase: Phase) -> Result<(), DistributedError> {
         self.net
@@ -266,40 +302,32 @@ impl Ctx {
     /// party) and returns `e`. The frame carries only blame — never
     /// protocol state — so survivors learn *who* failed and nothing else.
     fn fail(&self, e: DistributedError) -> DistributedError {
-        let frame = match &e {
-            DistributedError::Timeout { party, phase } => Some(AbortFrame {
-                blamed: *party,
-                phase: *phase,
-                kind: AbortKind::Timeout,
-                reporter: self.me,
-            }),
-            DistributedError::Disconnected { party, phase } => Some(AbortFrame {
-                blamed: *party,
-                phase: *phase,
-                kind: AbortKind::Disconnected,
-                reporter: self.me,
-            }),
-            DistributedError::ProofRejected { party } => Some(AbortFrame {
-                blamed: *party,
-                phase: self.net.phase(),
-                kind: AbortKind::ProofRejected,
-                reporter: self.me,
-            }),
-            DistributedError::Protocol { party, .. } => Some(AbortFrame {
-                blamed: *party,
-                phase: self.net.phase(),
-                kind: AbortKind::Protocol,
-                reporter: self.me,
-            }),
+        let (blamed, phase, kind) = match &e {
+            DistributedError::Timeout { party, phase } => (*party, *phase, AbortKind::Timeout),
+            DistributedError::Disconnected { party, phase } => {
+                (*party, *phase, AbortKind::Disconnected)
+            }
+            DistributedError::ProofRejected { party } => {
+                (*party, self.net.phase(), AbortKind::ProofRejected)
+            }
+            DistributedError::Protocol { party, .. } => {
+                (*party, self.net.phase(), AbortKind::Protocol)
+            }
             // Secondhand errors re-broadcast the *original* frame at
-            // adoption time (inside `adopt`), never a rewritten one.
-            DistributedError::Reported { .. } | DistributedError::FalselyAccused { .. } => None,
-            // A crashed party is dead: it must not speak.
-            DistributedError::Crashed { .. } => None,
+            // adoption time (inside `adopt`), never a rewritten one; a
+            // crashed party is dead and must not speak.
+            DistributedError::Reported { .. }
+            | DistributedError::FalselyAccused { .. }
+            | DistributedError::Crashed { .. } => return e,
         };
-        if let Some(frame) = frame {
-            let _ = self.net.broadcast(&frame.encode());
-        }
+        let reporter = self.me;
+        let frame = AbortFrame {
+            blamed,
+            phase,
+            kind,
+            reporter,
+        };
+        let _ = self.net.broadcast(&frame.encode());
         e
     }
 
@@ -397,11 +425,6 @@ impl Ctx {
         self.recv_within(from, self.budget.of(self.net.phase()) * steps.max(1))
     }
 
-    /// Receives from `from` within one allowance of the current phase.
-    fn recv(&self, from: usize) -> Result<Bytes, DistributedError> {
-        self.recv_scaled(from, 1)
-    }
-
     /// Drains a torn-down peer's inbound lane looking for its final abort
     /// frame — a failing party broadcasts one *before* dropping its mesh,
     /// so by the time a send to it errors, any explanation it had is
@@ -473,17 +496,6 @@ impl Ctx {
     }
 }
 
-/// Decodes with `$e`; a failure is a protocol violation blamed on `$from`
-/// (use the local id for encoding failures).
-macro_rules! try_wire {
-    ($ctx:expr, $from:expr, $e:expr) => {
-        match $e {
-            Ok(v) => v,
-            Err(e) => return Err($ctx.protocol($from, e)),
-        }
-    };
-}
-
 /// Runs the full framework with one thread per party over a channel mesh,
 /// with default deadlines and no fault injection.
 ///
@@ -517,6 +529,33 @@ pub fn run_distributed_with(
     infos: Vec<InfoVector>,
     config: DistributedConfig,
 ) -> Result<DistributedOutcome, DistributedFailure> {
+    run_mesh(params, profile, infos, config, None)
+}
+
+/// [`run_distributed`] that also records every protocol message each party
+/// sends into `transcript`, as encoded frames — what an in-process run of
+/// the same session records ([`crate::SessionMachine::record_transcript`]).
+///
+/// # Errors
+///
+/// As [`run_distributed`].
+pub fn run_distributed_recorded(
+    params: &FrameworkParams,
+    profile: InitiatorProfile,
+    infos: Vec<InfoVector>,
+    transcript: &Transcript,
+) -> Result<DistributedOutcome, DistributedError> {
+    let config = DistributedConfig::default();
+    run_mesh(params, profile, infos, config, Some(transcript)).map_err(|f| f.primary)
+}
+
+fn run_mesh(
+    params: &FrameworkParams,
+    profile: InitiatorProfile,
+    infos: Vec<InfoVector>,
+    config: DistributedConfig,
+    tap: Option<&Transcript>,
+) -> Result<DistributedOutcome, DistributedFailure> {
     let n = params.participants();
     assert_eq!(infos.len(), n, "population size mismatch");
     let budget = config.budget;
@@ -526,66 +565,41 @@ pub fn run_distributed_with(
         Some(p) => FaultyMesh::with_plan(h, Arc::clone(p), stash.clone()),
         None => FaultyMesh::passthrough(h),
     };
-    let mut nets: Vec<Net> = LocalMesh::new::<Bytes>(n + 1)
+    let nets: Vec<Net> = LocalMesh::new::<Bytes>(n + 1)
         .into_iter()
         .map(wrap)
         .collect();
-    nets.reverse(); // pop() now yields party 0 first
 
-    let spawn_failure = |party: usize| DistributedFailure {
-        primary: DistributedError::Protocol {
-            party,
-            what: "missing mesh handle".into(),
-        },
-        observations: Vec::new(),
-    };
-
-    let Some(initiator_net) = nets.pop() else {
-        return Err(spawn_failure(0));
-    };
-    let params0 = params.clone();
-    let initiator =
-        thread::spawn(move || initiator_thread(params0, profile, initiator_net, budget));
-
-    let mut participants = Vec::with_capacity(n);
-    for (idx, info) in infos.into_iter().enumerate() {
-        let Some(net) = nets.pop() else {
-            return Err(spawn_failure(idx + 1));
-        };
-        let params_j = params.clone();
-        participants.push(thread::spawn(move || {
-            participant_thread(params_j, info, net, budget)
+    let mut threads = Vec::with_capacity(n + 1);
+    let mut infos = infos.into_iter();
+    for net in nets {
+        let me = net.id();
+        let info = if me == 0 { None } else { infos.next() };
+        let ctx = Ctx::new(net, me, params, budget, tap.cloned());
+        let (params, profile) = (params.clone(), profile.clone());
+        threads.push(thread::spawn(move || match info {
+            None => initiator(&ctx, &params, &profile).map(Exit::Report),
+            Some(info) => participant(&ctx, &params, info).map(Exit::Rank),
         }));
     }
 
     // Join *everything* before judging the outcome: the liveness guarantee
     // is that every thread returns, not merely the first.
-    let panicked = |party: usize| DistributedError::Protocol {
-        party,
-        what: "thread panicked".into(),
-    };
-    let init_result = initiator.join().map_err(|_| panicked(0));
-    let mut part_results = Vec::with_capacity(n);
-    for (idx, t) in participants.into_iter().enumerate() {
-        part_results.push(t.join().map_err(|_| panicked(idx + 1)));
+    let mut observations: Vec<(usize, DistributedError)> = Vec::new();
+    let mut report = None;
+    let mut ranks = vec![0usize; n];
+    for (party, t) in threads.into_iter().enumerate() {
+        let result = t.join().unwrap_or_else(|_| {
+            let what = "thread panicked".into();
+            Err(DistributedError::Protocol { party, what })
+        });
+        match result {
+            Ok(Exit::Report(r)) => report = Some(r),
+            Ok(Exit::Rank(rank)) => ranks[party - 1] = rank,
+            Err(e) => observations.push((party, e)),
+        }
     }
     drop(stash); // silently-stalled handles may close only after all joins
-
-    let mut observations: Vec<(usize, DistributedError)> = Vec::new();
-    let report = match init_result {
-        Ok(Ok(report)) => Some(report),
-        Ok(Err(e)) | Err(e) => {
-            observations.push((0, e));
-            None
-        }
-    };
-    let mut ranks = vec![0usize; n];
-    for (idx, r) in part_results.into_iter().enumerate() {
-        match r {
-            Ok(Ok(rank)) => ranks[idx] = rank,
-            Ok(Err(e)) | Err(e) => observations.push((idx + 1, e)),
-        }
-    }
 
     if let (Some(report), true) = (report, observations.is_empty()) {
         return Ok(DistributedOutcome { ranks, report });
@@ -598,6 +612,12 @@ pub fn run_distributed_with(
         primary,
         observations,
     })
+}
+
+/// What a party thread returns on success.
+enum Exit {
+    Report(VerificationReport),
+    Rank(usize),
 }
 
 /// Picks the consensus primary — the observation closest to the root
@@ -643,434 +663,114 @@ pub fn consensus_primary(observations: &[(usize, DistributedError)]) -> Option<D
         .map(|(_, (_, e))| e.clone())
 }
 
-/// The initiator (`P₀`): answers dot-product rounds, then collects and
-/// verifies submissions.
-fn initiator_thread(
-    params: FrameworkParams,
-    profile: InitiatorProfile,
-    net: Net,
-    budget: PhaseBudget,
+/// The initiator (`P₀`): serves the gain rounds, then checks the
+/// submissions.
+fn initiator(
+    ctx: &Ctx,
+    params: &FrameworkParams,
+    profile: &InitiatorProfile,
 ) -> Result<VerificationReport, DistributedError> {
-    let me = 0usize;
-    let n = params.participants();
-    let ctx = Ctx::new(net, me, n, budget);
-    let field = default_field();
-    let proto = DotProduct::new(field.clone());
-    let mut rng = HashDrbg::seed_from_u64(params.seed()).fork(b"party-0");
-    let q = params.questionnaire();
-    let (m, t) = (q.dimension(), q.equal_to_count());
-    let h = params.mask_bits();
-    let top = 1u64 << (h - 1);
-    let rho = top | rng.gen_range(0..top);
-
-    // ρ-scaled receiver vector (shared across participants).
-    let w = profile.weights.values();
-    let v0 = profile.criterion.values();
-    let mut v_recv: Vec<Fp> = Vec::with_capacity(m + t);
-    for &wk in &w[t..m] {
-        v_recv.push(field.from_i128(rho as i128 * wk as i128));
-    }
-    for &wk in &w[..t] {
-        v_recv.push(field.from_i128(-(rho as i128) * wk as i128));
-    }
-    for k in 0..t {
-        v_recv.push(field.from_i128(2 * rho as i128 * w[k] as i128 * v0[k] as i128));
-    }
-
-    // Phase 1: serve each participant's dot product, in party order.
-    ctx.enter(Phase::Gain)?;
-    for j in 1..=n {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        let rows = try_wire!(ctx, j, r.len());
-        let mut qx = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            qx.push(try_wire!(ctx, j, r.fp_vec(&field)));
-        }
-        let c_prime = try_wire!(ctx, j, r.fp_vec(&field));
-        let g = try_wire!(ctx, j, r.fp_vec(&field));
-        try_wire!(ctx, j, r.done());
-        let msg1 = Round1Message { qx, c_prime, g };
-
-        let rho_j = rng.gen_range(0..rho);
-        let alpha = field.from_i128(rho_j as i128);
-        let msg2 = proto.receiver_round2(&v_recv, &alpha, &msg1, &mut rng);
-        let mut w_out = Writer::framed();
-        w_out.put_fp(&msg2.a);
-        w_out.put_fp(&msg2.h);
-        ctx.send(j, w_out.finish())?;
-    }
-
-    // Phase 3: gather one submission-or-decline from every participant.
-    // The first gather legitimately spans the participants' entire
-    // phase 2, so each wait is bounded by the whole-session budget.
-    ctx.enter(Phase::Submit)?;
-    let gather_window = budget.session_total(n);
-    let mut submissions = Vec::new();
-    for j in 1..=n {
-        let bytes = ctx.recv_within(j, gather_window)?;
-        let mut r = Reader::new(bytes);
-        let claimed = try_wire!(ctx, j, r.u64()) as usize;
-        if claimed == 0 {
-            try_wire!(ctx, j, r.done());
-            continue; // decline
-        }
-        // A rank beyond the participant count is unsatisfiable; reject it
-        // here instead of letting the claim ride into verification.
-        if claimed > n {
-            return Err(ctx.protocol(j, format!("claimed rank {claimed} exceeds n = {n}")));
-        }
-        let count = try_wire!(ctx, j, r.len());
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(try_wire!(ctx, j, r.u64()));
-        }
-        try_wire!(ctx, j, r.done());
-        let info = match InfoVector::new(q, values, params.attr_bits()) {
-            Ok(i) => i,
-            Err(e) => return Err(ctx.protocol(j, format!("bad submission: {e}"))),
-        };
-        submissions.push(Submission {
-            party: j,
-            claimed_rank: claimed,
-            info,
-        });
-    }
-    let log = TrafficLog::new();
-    let mut timer = PartyTimer::new(1);
-    Ok(verify_submissions(
-        q,
-        &profile,
-        &submissions,
-        params.top_k(),
-        &log,
-        &mut timer,
-        0,
-    ))
+    let mut initiator = Initiator::new(params, profile, &ctx.codec.field);
+    drive(ctx, &mut initiator, params.beta_bits())?;
+    Ok(initiator.verify(&TrafficLog::new(), &mut PartyTimer::new(1), 0))
 }
 
-/// One participant (`P_j`): full three-phase protocol.
-fn participant_thread(
-    params: FrameworkParams,
+/// One participant (`P_j`), from its own stock slice. Every party already
+/// has a thread, so its local work runs serially.
+fn participant(
+    ctx: &Ctx,
+    params: &FrameworkParams,
     info: InfoVector,
-    net: Net,
-    budget: PhaseBudget,
 ) -> Result<usize, DistributedError> {
-    let me = net.id(); // 1..=n
-    let n = params.participants();
-    let ctx = Ctx::new(net, me, n, budget);
-    let l = params.beta_bits();
-    let group: Group = params.group().group();
-    let scheme = ExpElGamal::new(group.clone());
-    let field = default_field();
-    let proto = DotProduct::new(field.clone());
-    let mut rng = HashDrbg::seed_from_u64(params.seed()).fork(format!("party-{me}").as_bytes());
-    let q = params.questionnaire();
-    let (m, t) = (q.dimension(), q.equal_to_count());
-
-    // ---- Phase 1: masked gain via the secure dot product. -------------
-    ctx.enter(Phase::Gain)?;
-    let vj = info.values();
-    let mut w_vec: Vec<Fp> = Vec::with_capacity(m + t);
-    for &vk in &vj[t..m] {
-        w_vec.push(field.from_i128(vk as i128));
-    }
-    for &vk in &vj[..t] {
-        w_vec.push(field.from_i128(vk as i128 * vk as i128));
-    }
-    for &vk in &vj[..t] {
-        w_vec.push(field.from_i128(vk as i128));
-    }
-    let (state, msg1) = proto.sender_round1(&w_vec, &mut rng);
-    let mut w_out = Writer::framed();
-    try_wire!(ctx, me, w_out.put_len(msg1.qx.len()));
-    for row in &msg1.qx {
-        try_wire!(ctx, me, w_out.put_fp_vec(row));
-    }
-    try_wire!(ctx, me, w_out.put_fp_vec(&msg1.c_prime));
-    try_wire!(ctx, me, w_out.put_fp_vec(&msg1.g));
-    ctx.send(0, w_out.finish())?;
-
-    // The initiator serves parties in id order, so P_me waits behind
-    // `me − 1` earlier services.
-    let bytes = ctx.recv_scaled(0, me as u32)?;
-    let mut r = Reader::new(bytes);
-    let a = try_wire!(ctx, 0, r.fp(&field));
-    let hh = try_wire!(ctx, 0, r.fp(&field));
-    try_wire!(ctx, 0, r.done());
-    let beta_signed = match state.finish(&Round2Message { a, h: hh }).to_i128_centered() {
-        Some(v) => v,
-        None => return Err(ctx.protocol(me, "masked gain out of i128 range")),
+    let (me, l) = (ctx.me, params.beta_bits());
+    let options = SortOptions {
+        threads: 1,
+        ..SortOptions::default()
     };
-    let beta = to_unsigned(beta_signed, l);
+    let mut party = Party::for_session(params, &ctx.codec.field, me, info, options);
+    let fp = StockFingerprint::new(params.seed(), params.participants(), l, params.group());
+    party.attach_stock(PartyStock::generate_own(&fp, me), None);
+    drive(ctx, &mut party, l)?;
+    Ok(party.rank)
+}
 
-    // ---- Phase 2, step 5: keys + proofs of knowledge. ------------------
-    ctx.enter(Phase::KeyGen)?;
-    let kp = KeyPair::generate(&group, &mut rng);
-    {
-        let mut w_out = Writer::framed();
-        w_out.put_element(&group, kp.public_key());
-        ctx.bcast_participants(&w_out.finish())?;
-    }
-    let mut public_shares: Vec<ppgr_group::Element> = vec![group.identity(); n + 1];
-    public_shares[me] = kp.public_key().clone();
-    for j in participants_except(n, me) {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        public_shares[j] = try_wire!(ctx, j, r.element(&group));
-        try_wire!(ctx, j, r.done());
-    }
-
-    // Sequential proofs, prover order 1..=n. Verifier challenge shares are
-    // broadcast so every verifier can form the same challenge sum, and
-    // every share is immediately echoed (a broadcast digest binding the
-    // share to its sender and round): a verifier that equivocates — one
-    // receiver gets different share bytes than everyone else — is caught
-    // by the receiver comparing bytes against the sender's own public
-    // claim, *before* the mismatched challenge sums could wreck the
-    // prover's verification and get an honest prover blamed.
-    // Transcripts are collected as they arrive and verified in one batch
-    // (a single aggregate multi-exponentiation) after the round; on
-    // rejection the fallback scan inside `verify_batch` runs in prover
-    // order, so the first dishonest prover is still the one named.
-    let recv_share_echoed = |ctx: &Ctx, prover: usize, j: usize| {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        let share = try_wire!(ctx, j, r.scalar(&group));
-        try_wire!(ctx, j, r.done());
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        let echo = try_wire!(ctx, j, r.take(32));
-        try_wire!(ctx, j, r.done());
-        if echo[..] != share_digest(&group, prover, j, &share)[..] {
-            return Err(ctx.protocol(
-                j,
-                "challenge share inconsistent with its echo (equivocating broadcast)",
-            ));
+/// Walks party `ctx.me`'s side of the schedule over the mesh: in every
+/// round it takes part in, the node computes and its messages are framed
+/// and sent, then each expected message is received, checked
+/// structurally and handed to the node. Phases are entered as the
+/// schedule reaches them (scripted crashes fire there).
+fn drive(ctx: &Ctx, node: &mut dyn Node, l: usize) -> Result<(), DistributedError> {
+    let (me, n) = (ctx.me, ctx.n);
+    // The mesh reports no per-party timings.
+    let (mut timer, mut scratch, mut phase) = (PartyTimer::new(n + 1), Vec::new(), None);
+    for round in Round::schedule(n) {
+        let senders = round.senders_to(me, n);
+        if !round.acts(me, n) && senders.is_empty() {
+            continue;
         }
-        Ok(share)
-    };
-    let mut foreign_proofs: Vec<(usize, SchnorrTranscript)> = Vec::with_capacity(n - 1);
-    #[allow(clippy::needless_range_loop)] // protocol round over 1-based party IDs
-    for prover in 1..=n {
-        if prover == me {
-            let (st, commitment) = SchnorrProver::commit(&group, kp.secret_key().clone(), &mut rng);
-            let mut w_out = Writer::framed();
-            w_out.put_element(&group, &commitment);
-            ctx.bcast_participants(&w_out.finish())?;
-            let mut total = group.scalar_from_u64(0);
-            for j in participants_except(n, me) {
-                let share = recv_share_echoed(&ctx, prover, j)?;
-                total = group.scalar_add(&total, &share);
+        if phase != Some(round.phase()) {
+            ctx.enter(round.phase())?;
+            phase = Some(round.phase());
+        }
+        let tap = ctx.tap.as_ref().map(|t| (&ctx.codec, t));
+        let outbox =
+            emit(node, me, round, &mut timer, &mut scratch, tap).map_err(|e| ctx.fail(e))?;
+        for (to, msg) in outbox {
+            ctx.send_msg(&to, &msg)?;
+            // Every challenge share is echoed at once: a broadcast digest
+            // binding it to its sender and prover (see `share_digest`).
+            if let (Round::Challenge(prover), Msg::Scalar(share)) = (round, &msg) {
+                let mut echo = Writer::framed();
+                echo.put_raw(&share_digest(&ctx.codec.group, prover, me, share));
+                ctx.bcast_participants(&echo.finish())?;
             }
-            let transcript = st.respond(&total, commitment);
-            let mut w_out = Writer::framed();
-            w_out.put_scalar(&group, &transcript.response);
-            ctx.bcast_participants(&w_out.finish())?;
-        } else {
-            let bytes = ctx.recv(prover)?;
-            let mut r = Reader::new(bytes);
-            let commitment = try_wire!(ctx, prover, r.element(&group));
-            try_wire!(ctx, prover, r.done());
-            // My challenge share, broadcast to everyone, then its echo.
-            let c_mine = group.random_scalar(&mut rng);
-            let mut w_out = Writer::framed();
-            w_out.put_scalar(&group, &c_mine);
-            ctx.bcast_participants(&w_out.finish())?;
-            let mut w_out = Writer::framed();
-            w_out.put_raw(&share_digest(&group, prover, me, &c_mine));
-            ctx.bcast_participants(&w_out.finish())?;
-            // Gather the other verifiers' shares (with their echoes).
-            let mut total = c_mine;
-            for j in participants_except(n, me) {
-                if j == prover {
-                    continue;
-                }
-                let share = recv_share_echoed(&ctx, prover, j)?;
-                total = group.scalar_add(&total, &share);
-            }
-            let bytes = ctx.recv(prover)?;
-            let mut r = Reader::new(bytes);
-            let response = try_wire!(ctx, prover, r.scalar(&group));
-            try_wire!(ctx, prover, r.done());
-            // g^z = h · y^Σc, checked for all provers at once below.
-            foreign_proofs.push((
-                prover,
-                SchnorrTranscript {
-                    commitment,
-                    challenge: total,
-                    response,
-                },
-            ));
+        }
+        for from in senders {
+            let msg = ctx.recv_msg(round, from)?;
+            check(ctx, round, from, &msg, l)?;
+            node.receive(round, from, msg, &mut timer)
+                .map_err(|e| ctx.fail(e))?;
         }
     }
-    {
-        let items: Vec<(&ppgr_group::Element, &SchnorrTranscript)> = foreign_proofs
+    Ok(())
+}
+
+/// The mesh's integrity checks on a received message, all blaming the
+/// sender `from`: every ciphertext set must carry exactly its advertised
+/// count with no duplicate ([`check_set`]), the chain vector one set per
+/// owner, and every challenge share must match the sender's own echo of it
+/// — a verifier that equivocates (different share bytes down different
+/// lanes) is caught by whoever got the minority bytes, before the
+/// mismatched challenge sums could get an honest prover blamed.
+fn check(
+    ctx: &Ctx,
+    round: Round,
+    from: usize,
+    msg: &Msg,
+    l: usize,
+) -> Result<(), DistributedError> {
+    let set_len = (ctx.n - 1) * l;
+    match (round, msg) {
+        (Round::Bits, Msg::Set(bits)) => check_set(ctx, bits, from, l),
+        (_, Msg::Set(set)) => check_set(ctx, set, from, set_len),
+        (_, Msg::Chain(sets)) if sets.len() != ctx.n => {
+            Err(ctx.protocol(from, "chain vector has wrong arity"))
+        }
+        (_, Msg::Chain(sets)) => sets
             .iter()
-            .map(|(p, t)| (&public_shares[*p], t))
-            .collect();
-        if let Err(i) = verify_batch(&group, &items) {
-            let prover = foreign_proofs[i].0;
-            return Err(ctx.fail(DistributedError::ProofRejected { party: prover }));
-        }
-    }
-    let joint = JointKey::combine(
-        &group,
-        &(1..=n)
-            .map(|j| public_shares[j].clone())
-            .collect::<Vec<_>>(),
-    );
-
-    // ---- Step 6: bitwise encryption, broadcast. ------------------------
-    ctx.enter(Phase::Encrypt)?;
-    let my_bits = encrypt_bits(&scheme, joint.public_key(), &beta, l, &mut rng);
-    {
-        let mut w_out = Writer::framed();
-        try_wire!(ctx, me, w_out.put_ciphertexts(&group, &my_bits));
-        ctx.bcast_participants(&w_out.finish())?;
-    }
-    let mut all_bits: Vec<Vec<Ciphertext>> = vec![Vec::new(); n + 1];
-    all_bits[me] = my_bits;
-    for j in participants_except(n, me) {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        all_bits[j] = try_wire!(ctx, j, r.ciphertexts(&group));
-        try_wire!(ctx, j, r.done());
-        if all_bits[j].len() != l {
-            return Err(ctx.protocol(
-                j,
-                format!(
-                    "published {} bit ciphertexts, expected {l}",
-                    all_bits[j].len()
-                ),
-            ));
-        }
-        if has_duplicate(&group, &all_bits[j]) {
-            return Err(ctx.protocol(j, "duplicate ciphertext in encrypted bit vector"));
-        }
-    }
-
-    // ---- Step 7: comparisons against every opponent. --------------------
-    ctx.enter(Phase::Compare)?;
-    let mut my_set: Vec<Ciphertext> = Vec::with_capacity((n - 1) * l);
-    for j in participants_except(n, me) {
-        my_set.extend(compare_encrypted(&scheme, &beta, &all_bits[j], l));
-    }
-
-    // ---- Step 8: the shuffle-decrypt chain. -----------------------------
-    ctx.enter(Phase::Hop)?;
-    let process = |sets: &mut Vec<Vec<Ciphertext>>, rng: &mut HashDrbg| {
-        for (owner_minus_1, set) in sets.iter_mut().enumerate() {
-            if owner_minus_1 + 1 == me {
-                continue;
+            .try_for_each(|set| check_set(ctx, set, from, set_len)),
+        (Round::Challenge(prover), Msg::Scalar(share)) => {
+            let echo = ctx.recv_scaled(from, 1)?;
+            if echo[..] != share_digest(&ctx.codec.group, prover, from, share)[..] {
+                return Err(ctx.protocol(
+                    from,
+                    "challenge share inconsistent with its echo (equivocating broadcast)",
+                ));
             }
-            for ct in set.iter_mut() {
-                let c = scheme.partial_decrypt(ct, kp.secret_key());
-                let rr = group.random_nonzero_scalar(rng);
-                *ct = scheme.randomize_plaintext(&c, &rr);
-            }
-            use rand::seq::SliceRandom;
-            set.shuffle(rng);
+            Ok(())
         }
-    };
-    let encode_sets = |sets: &[Vec<Ciphertext>]| {
-        let mut w_out = Writer::framed();
-        w_out.put_len(sets.len())?;
-        for set in sets {
-            w_out.put_ciphertexts(&group, set)?;
-        }
-        Ok::<_, crate::wire::WireError>(w_out.finish())
-    };
-    let my_final_set: Vec<Ciphertext>;
-    if me == 1 {
-        // Collect everyone's set, process, pass on.
-        let mut sets: Vec<Vec<Ciphertext>> = vec![Vec::new(); n];
-        sets[0] = my_set;
-        for j in 2..=n {
-            let bytes = ctx.recv(j)?;
-            let mut r = Reader::new(bytes);
-            sets[j - 1] = try_wire!(ctx, j, r.ciphertexts(&group));
-            try_wire!(ctx, j, r.done());
-            check_set(&ctx, &group, &sets[j - 1], j, (n - 1) * l)?;
-        }
-        process(&mut sets, &mut rng);
-        if n >= 2 {
-            let encoded = try_wire!(ctx, me, encode_sets(&sets));
-            ctx.send(2, encoded)?;
-        }
-        // My set comes back from P_n after the whole chain: n − 1 hops.
-        let bytes = ctx.recv_scaled(n, n as u32)?;
-        let mut r = Reader::new(bytes);
-        my_final_set = try_wire!(ctx, n, r.ciphertexts(&group));
-        try_wire!(ctx, n, r.done());
-        check_set(&ctx, &group, &my_final_set, n, (n - 1) * l)?;
-    } else {
-        // Send my comparison set to P₁ first.
-        let mut w_out = Writer::framed();
-        try_wire!(ctx, me, w_out.put_ciphertexts(&group, &my_set));
-        ctx.send(1, w_out.finish())?;
-        // Receive V from my predecessor (me − 1 upstream hops), process,
-        // forward.
-        let bytes = ctx.recv_scaled(me - 1, me as u32)?;
-        let mut r = Reader::new(bytes);
-        let count = try_wire!(ctx, me - 1, r.len());
-        if count != n {
-            return Err(ctx.protocol(me - 1, "chain vector has wrong arity"));
-        }
-        let mut sets = Vec::with_capacity(n);
-        for _ in 0..n {
-            sets.push(try_wire!(ctx, me - 1, r.ciphertexts(&group)));
-        }
-        try_wire!(ctx, me - 1, r.done());
-        for set in &sets {
-            check_set(&ctx, &group, set, me - 1, (n - 1) * l)?;
-        }
-        process(&mut sets, &mut rng);
-        if me < n {
-            let encoded = try_wire!(ctx, me, encode_sets(&sets));
-            ctx.send(me + 1, encoded)?;
-            // Own set returns from P_n at chain end.
-            let bytes = ctx.recv_scaled(n, n as u32)?;
-            let mut r = Reader::new(bytes);
-            my_final_set = try_wire!(ctx, n, r.ciphertexts(&group));
-            try_wire!(ctx, n, r.done());
-            check_set(&ctx, &group, &my_final_set, n, (n - 1) * l)?;
-        } else {
-            // I am P_n: return every set to its owner; keep mine.
-            for owner in 1..n {
-                let mut w_out = Writer::framed();
-                try_wire!(ctx, me, w_out.put_ciphertexts(&group, &sets[owner - 1]));
-                ctx.send(owner, w_out.finish())?;
-            }
-            my_final_set = match sets.pop() {
-                Some(set) => set,
-                None => return Err(ctx.protocol(me, "chain vector lost the final set")),
-            };
-        }
+        _ => Ok(()),
     }
-
-    // ---- Step 9: count zeros → rank. ------------------------------------
-    let zeros = my_final_set
-        .iter()
-        .filter(|ct| scheme.decrypts_to_zero(kp.secret_key(), ct))
-        .count();
-    let rank = zeros + 1;
-
-    // ---- Phase 3: submit or decline. ------------------------------------
-    ctx.enter(Phase::Submit)?;
-    let mut w_out = Writer::framed();
-    if rank <= params.top_k() {
-        w_out.put_u64(rank as u64);
-        try_wire!(ctx, me, w_out.put_len(info.values().len()));
-        for &v in info.values() {
-            w_out.put_u64(v);
-        }
-    } else {
-        w_out.put_u64(0); // decline
-    }
-    ctx.send(0, w_out.finish())?;
-
-    Ok(rank)
 }
 
 /// Domain-separated digest binding a keygen challenge share to its prover
@@ -1112,14 +812,13 @@ fn has_duplicate(group: &Group, set: &[Ciphertext]) -> bool {
     false
 }
 
-/// Structural integrity of a received comparison set: advertised
-/// cardinality and no duplicated ciphertext. Every hop re-encrypts and
-/// re-shuffles each set it forwards, so honest relays always pass — a
-/// violation always implicates the immediate sender `from`, never an
-/// upstream party whose bytes were merely relayed.
+/// Structural integrity of a received ciphertext set (a bit vector or a
+/// comparison set): advertised cardinality and no duplicated ciphertext.
+/// Every party re-encrypts and re-shuffles each set it forwards, so honest
+/// relays always pass — a violation always implicates the immediate sender
+/// `from`, never an upstream party whose bytes were merely relayed.
 fn check_set(
     ctx: &Ctx,
-    group: &Group,
     set: &[Ciphertext],
     from: usize,
     expected: usize,
@@ -1128,23 +827,18 @@ fn check_set(
         return Err(ctx.protocol(
             from,
             format!(
-                "comparison set carries {} ciphertexts, expected {expected}",
+                "ciphertext set carries {} ciphertexts, expected {expected}",
                 set.len()
             ),
         ));
     }
-    if has_duplicate(group, set) {
+    if has_duplicate(&ctx.codec.group, set) {
         return Err(ctx.protocol(
             from,
-            "duplicate ciphertext in a comparison set (inconsistent shuffle)",
+            "duplicate ciphertext in a set (inconsistent shuffle or copied bit)",
         ));
     }
     Ok(())
-}
-
-/// Participant ids `1..=n` except `me`.
-fn participants_except(n: usize, me: usize) -> impl Iterator<Item = usize> {
-    (1..=n).filter(move |&j| j != me)
 }
 
 #[cfg(test)]
@@ -1153,6 +847,8 @@ mod tests {
     use crate::attrs::Questionnaire;
     use crate::framework::GroupRanking;
     use ppgr_group::GroupKind;
+    use ppgr_hash::HashDrbg;
+    use rand::SeedableRng;
 
     fn params(n: usize, seed: u64) -> FrameworkParams {
         FrameworkParams::builder(Questionnaire::synthetic(1, 2))
@@ -1265,7 +961,13 @@ mod tests {
         let mut handles = LocalMesh::new::<Bytes>(2);
         let peer = FaultyMesh::passthrough(handles.pop().unwrap());
         let net = FaultyMesh::passthrough(handles.pop().unwrap());
-        let ctx = Ctx::new(net, 0, 1, PhaseBudget::uniform(Duration::from_secs(1)));
+        let ctx = Ctx::new(
+            net,
+            0,
+            &params(2, 1),
+            PhaseBudget::uniform(Duration::from_secs(1)),
+            None,
+        );
         let first = AbortFrame {
             blamed: 1,
             phase: Phase::KeyGen,
@@ -1304,7 +1006,13 @@ mod tests {
         let mut handles = LocalMesh::new::<Bytes>(2);
         let _peer = FaultyMesh::<Bytes>::passthrough(handles.pop().unwrap());
         let net = FaultyMesh::passthrough(handles.pop().unwrap());
-        let ctx = Ctx::new(net, 0, 1, PhaseBudget::uniform(Duration::from_secs(1)));
+        let ctx = Ctx::new(
+            net,
+            0,
+            &params(2, 1),
+            PhaseBudget::uniform(Duration::from_secs(1)),
+            None,
+        );
         // blamed == reporter cannot come from honest code (a party never
         // accuses itself): blame lands on the delivering lane.
         let bogus = AbortFrame {

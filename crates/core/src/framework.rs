@@ -1,15 +1,17 @@
 //! The end-to-end framework orchestrator.
 
-use crate::attrs::{InfoVector, InitiatorProfile, VectorError};
-use crate::gain::{run_gain_phase, GainPhaseOutput};
+use crate::attrs::{partial_gain, InfoVector, InitiatorProfile, VectorError};
+use crate::gain::GainPhaseOutput;
 use crate::offline::{OfflineStock, StockFingerprint};
 use crate::params::FrameworkParams;
+use crate::party::{Codec, Initiator, Party, Transcript};
 use crate::sorting::{KeygenVerifyJob, SortError, SortMachine, SortOptions, SortStatus};
-use crate::submit::{honest_submissions, verify_submissions, AcceptedSubmission};
+use crate::submit::AcceptedSubmission;
 use crate::timing::PartyTimer;
+use ppgr_dotprod::default_field;
 use ppgr_elgamal::Ciphertext;
 use ppgr_hash::HashDrbg;
-use ppgr_net::{TrafficLog, TrafficSummary};
+use ppgr_net::{Phase, TrafficLog, TrafficSummary};
 use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
@@ -239,24 +241,28 @@ impl GroupRanking {
     /// [`RunError::MissingPopulation`] if no population was supplied.
     pub fn into_machine_with(self, sort_options: SortOptions) -> Result<SessionMachine, RunError> {
         let (profile, infos) = self.population.ok_or(RunError::MissingPopulation)?;
-        let n = self.params.participants();
-        let rng = HashDrbg::seed_from_u64(self.params.seed()).fork(b"protocol");
+        let params = self.params;
+        let (n, l) = (params.participants(), params.beta_bits());
+        let field = default_field();
+        let mut gain_timer = PartyTimer::new(n + 1);
+        let initiator = gain_timer.time(0, || Initiator::new(&params, &profile, &field));
+        let parties = infos
+            .into_iter()
+            .enumerate()
+            .map(|(idx, info)| Party::for_session(&params, &field, idx + 1, info, sort_options))
+            .collect();
+        let group = params.group().group();
+        let sort = SortMachine::session(&group, initiator, parties, l, sort_options)?;
         Ok(SessionMachine {
-            params: self.params,
+            params,
             profile,
-            infos,
             sort_options,
-            rng,
             log: self.log,
-            phase: SessionPhase::Offline,
-            offline: None,
-            gain_timer: PartyTimer::new(n + 1),
+            stocked: false,
+            gain_timer,
             sort_timer: PartyTimer::new(n + 1),
             submit_timer: PartyTimer::new(n + 1),
-            gain_out: None,
-            sort: None,
-            scratch: None,
-            ranks: None,
+            sort,
             result: None,
         })
     }
@@ -272,59 +278,38 @@ pub enum SessionStatus {
     Done,
 }
 
-/// Which phase a [`SessionMachine`] is in.
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-enum SessionPhase {
-    /// Offline precompute: acquire (or generate cold) the session's
-    /// randomness stock before any online phase runs.
-    Offline,
-    /// Phase 1: secure gain computation (one step).
-    Gain,
-    /// Phase 2: unlinkable sorting (one step per [`SortMachine`] unit).
-    Sort,
-    /// Phase 3: submission + verification, then result assembly.
-    Submit,
-    /// Result available.
-    Done,
-}
-
-/// A resumable framework session.
+/// A resumable framework session: the in-process driver of the per-party
+/// round code ([`crate::party`]).
 ///
-/// One `step` call performs one unit of protocol work: the whole gain
-/// phase, one [`SortMachine`] step (key generation, bit encryption, a
-/// party's comparison batch, or a single chain hop), or the submission
-/// phase. The session owns its seeded DRBG, so however its steps are
-/// interleaved with *other* sessions' steps, its transcript and ranks are
-/// bit-identical to a solo [`GroupRanking::run`] with the same seed —
-/// within a session the steps are strictly sequential, which is exactly
-/// the unlinkability requirement on the shuffle-decrypt chain.
+/// One `step` call performs one unit of protocol work: the offline stock,
+/// the whole gain phase, one [`SortMachine`] step (the stock hand-out, key
+/// generation, bit encryption, a party's comparison batch, or a single
+/// chain hop), or the submission phase. Every party draws only from its
+/// own streams (seeded by the session seed), so however the steps are
+/// interleaved with *other* sessions' steps, the transcript and ranks are
+/// bit-identical to a solo [`GroupRanking::run`] with the same seed — and
+/// to the same session over the mesh ([`crate::run_distributed`]). Within
+/// a session the steps are strictly sequential, which is exactly the
+/// unlinkability requirement on the shuffle-decrypt chain.
 #[derive(Debug)]
 pub struct SessionMachine {
     params: FrameworkParams,
     profile: InitiatorProfile,
-    infos: Vec<InfoVector>,
     sort_options: SortOptions,
-    rng: HashDrbg,
     log: TrafficLog,
-    phase: SessionPhase,
-    offline: Option<OfflineStock>,
+    /// Whether the offline step ran (the stock is attached to `sort`).
+    stocked: bool,
     gain_timer: PartyTimer,
     sort_timer: PartyTimer,
     submit_timer: PartyTimer,
-    gain_out: Option<GainPhaseOutput>,
-    sort: Option<SortMachine>,
-    /// A pool-donated hop scratch buffer, held until the sort machine is
-    /// built (Gain phase) and reclaimed when the sort finishes, so one
-    /// allocation's capacity serves many sessions in turn.
-    scratch: Option<Vec<Ciphertext>>,
-    ranks: Option<Vec<usize>>,
+    sort: SortMachine,
     result: Option<Outcome>,
 }
 
 impl SessionMachine {
     /// Whether the session has completed.
     pub fn is_done(&self) -> bool {
-        self.phase == SessionPhase::Done
+        self.result.is_some()
     }
 
     /// The session parameters.
@@ -352,14 +337,9 @@ impl SessionMachine {
     /// already run or the stock's fingerprint does not match
     /// [`SessionMachine::offline_fingerprint`] exactly.
     pub fn attach_offline_stock(&mut self, stock: OfflineStock) -> bool {
-        if self.phase != SessionPhase::Offline
-            || self.offline.is_some()
-            || stock.fingerprint() != Some(&self.offline_fingerprint())
-        {
-            return false;
-        }
-        self.offline = Some(stock);
-        true
+        !self.stocked
+            && stock.fingerprint() == Some(&self.offline_fingerprint())
+            && self.sort.attach_offline_stock(stock).is_ok()
     }
 
     /// Takes the keygen proof check a
@@ -370,29 +350,26 @@ impl SessionMachine {
     /// settle the job and discard the session's outcome if the verdict is
     /// `Err` — see [`KeygenVerifyJob`].
     pub fn take_pending_verify(&mut self) -> Option<KeygenVerifyJob> {
-        self.sort
-            .as_mut()
-            .and_then(SortMachine::take_pending_verify)
+        self.sort.take_pending_verify()
     }
 
-    /// Donates a recycled hop scratch buffer; its capacity is handed to the
-    /// sort machine when the Gain phase builds it. Contents never influence
-    /// the protocol ([`SortMachine::adopt_scratch`]).
+    /// Donates a recycled hop scratch buffer to the sort machine. Contents
+    /// never influence the protocol ([`SortMachine::adopt_scratch`]).
     pub fn adopt_hop_scratch(&mut self, scratch: Vec<Ciphertext>) {
-        match self.sort.as_mut() {
-            Some(sort) => sort.adopt_scratch(scratch),
-            None => self.scratch = Some(scratch),
-        }
+        self.sort.adopt_scratch(scratch);
     }
 
-    /// Takes the hop scratch buffer back once the session is done (or
-    /// whatever was donated, if the sort never ran), so a pool can recycle
-    /// its capacity into the next session.
+    /// Takes the hop scratch buffer back once the session is done, so a
+    /// pool can recycle its capacity into the next session.
     pub fn take_hop_scratch(&mut self) -> Vec<Ciphertext> {
-        match self.sort.as_mut() {
-            Some(sort) => sort.take_scratch(),
-            None => self.scratch.take().unwrap_or_default(),
-        }
+        self.sort.take_scratch()
+    }
+
+    /// Records every protocol message the parties emit from now on into
+    /// `transcript`, as its wire frame. Call before the first step.
+    pub fn record_transcript(&mut self, transcript: &Transcript) {
+        let codec = Codec::new(self.params.group().group());
+        self.sort.tap = Some((codec, transcript.clone()));
     }
 
     /// The outcome, once [`SessionMachine::step`] has returned
@@ -408,132 +385,83 @@ impl SessionMachine {
     ///
     /// See [`RunError`].
     pub fn step(&mut self) -> Result<SessionStatus, RunError> {
-        match self.phase {
-            SessionPhase::Offline => {
-                // Cold fallback: generate the stock from the session's own
-                // dedicated offline stream. A pool-attached stock comes
-                // from the same stream, so transcripts do not depend on
-                // which side did the work.
-                if self.offline.is_none() {
-                    // A defer-verify run skips minting-time proof
-                    // verification too — the check belongs to the
-                    // cross-session batch; the stock bytes are identical.
-                    self.offline = Some(if self.sort_options.defer_verify {
-                        OfflineStock::generate_deferred(self.offline_fingerprint())
-                    } else {
-                        OfflineStock::generate(self.offline_fingerprint())
-                    });
-                }
-                self.phase = SessionPhase::Gain;
-                Ok(SessionStatus::Pending)
-            }
-            SessionPhase::Gain => {
-                // Phase 1: secure gain computation.
-                let gain_out = run_gain_phase(
-                    &self.params,
-                    &self.profile,
-                    &self.infos,
-                    &mut self.rng,
-                    &self.log,
-                    &mut self.gain_timer,
-                    0,
-                );
-                // Phase 2 setup: the sort machine validates inputs now.
-                let group = self.params.group().group();
-                let mut sort = SortMachine::new(
-                    &group,
-                    &gain_out.betas,
-                    self.params.beta_bits(),
-                    self.sort_options,
-                    2,
-                )?;
-                let stock = self
-                    .offline
-                    .take()
-                    .ok_or(RunError::Internal("no offline stock after Offline phase"))?;
-                if sort.attach_offline_stock(stock).is_err() {
-                    return Err(RunError::Internal("offline stock rejected by sort machine"));
-                }
-                if let Some(scratch) = self.scratch.take() {
-                    sort.adopt_scratch(scratch);
-                }
-                self.gain_out = Some(gain_out);
-                self.sort = Some(sort);
-                self.phase = SessionPhase::Sort;
-                Ok(SessionStatus::Pending)
-            }
-            SessionPhase::Sort => {
-                let sort = self
-                    .sort
-                    .as_mut()
-                    .ok_or(RunError::Internal("no sort machine in Sort phase"))?;
-                let status = sort.step(&mut self.rng, &self.log, &mut self.sort_timer)?;
-                if status == SortStatus::Done {
-                    let mut done = self
-                        .sort
-                        .take()
-                        .ok_or(RunError::Internal("no sort machine in Sort phase"))?;
-                    // Reclaim the hop buffer before the machine is consumed
-                    // so a pool can recycle its capacity into a later
-                    // session ([`SessionMachine::take_hop_scratch`]).
-                    self.scratch = Some(done.take_scratch());
-                    let (sort_out, _trace) = done
-                        .into_result()
-                        .ok_or(RunError::Internal("sort machine Done without result"))?;
-                    self.ranks = Some(sort_out.ranks);
-                    self.phase = SessionPhase::Submit;
-                }
-                Ok(SessionStatus::Pending)
-            }
-            SessionPhase::Submit => {
-                // Phase 3: submission + verification.
-                let ranks = self
-                    .ranks
-                    .take()
-                    .ok_or(RunError::Internal("no ranks after Sort phase"))?;
-                let submissions = honest_submissions(&self.infos, &ranks, self.params.top_k());
-                let report = verify_submissions(
-                    self.params.questionnaire(),
-                    &self.profile,
-                    &submissions,
-                    self.params.top_k(),
-                    &self.log,
-                    &mut self.submit_timer,
-                    100,
-                );
-                debug_assert!(report.is_clean(), "honest run must verify cleanly");
-
-                let gain_output = self
-                    .gain_out
-                    .take()
-                    .ok_or(RunError::Internal("no gain output after Gain phase"))?;
-                let n = self.params.participants();
-                let per_party: Vec<Duration> = (0..=n)
-                    .map(|p| {
-                        self.gain_timer.spent(p)
-                            + self.sort_timer.spent(p)
-                            + self.submit_timer.spent(p)
-                    })
-                    .collect();
-                let timings = PhaseTimings {
-                    gain: self.gain_timer.mean_participant(),
-                    sort: self.sort_timer.mean_participant(),
-                    submit: self.submit_timer.spent(0),
-                    initiator: per_party[0],
-                    per_party,
-                };
-                self.result = Some(Outcome {
-                    ranks,
-                    top_k: report.accepted,
-                    traffic: self.log.summary(),
-                    timings,
-                    gain_output,
-                });
-                self.phase = SessionPhase::Done;
-                Ok(SessionStatus::Done)
-            }
-            SessionPhase::Done => Ok(SessionStatus::Done),
+        if self.result.is_some() {
+            return Ok(SessionStatus::Done);
         }
+        if !self.stocked {
+            // Cold fallback: generate the stock from the parties' own
+            // offline streams. A pool-attached stock comes from the same
+            // streams, so transcripts do not depend on which side did the
+            // work. A defer-verify run skips minting-time proof
+            // verification too — the check belongs to the cross-session
+            // batch; the stock bytes are identical.
+            self.stocked = true;
+            if self.sort.stock.is_none() {
+                let fp = self.offline_fingerprint();
+                self.sort.stock = Some(match self.sort_options.defer_verify {
+                    true => OfflineStock::generate_deferred(fp),
+                    false => OfflineStock::generate(fp),
+                });
+            }
+            return Ok(SessionStatus::Pending);
+        }
+        let timer = match self.sort.next_phase() {
+            Some(Phase::Gain) => &mut self.gain_timer,
+            Some(Phase::Submit) => &mut self.submit_timer,
+            _ => &mut self.sort_timer,
+        };
+        if self.sort.advance(&self.log, timer)? == SortStatus::Pending {
+            return Ok(SessionStatus::Pending);
+        }
+        self.finish()?;
+        Ok(SessionStatus::Done)
+    }
+
+    /// After the submit round: the initiator verifies the submissions and
+    /// the outcome is assembled.
+    fn finish(&mut self) -> Result<(), RunError> {
+        let initiator = self
+            .sort
+            .initiator
+            .as_ref()
+            .ok_or(RunError::Internal("no initiator"))?;
+        let report = initiator.verify(&self.log, &mut self.submit_timer, 100);
+        debug_assert!(report.is_clean(), "honest run must verify cleanly");
+        let parties = &self.sort.parties;
+        let (q, rho) = (self.params.questionnaire(), initiator.rho as i128);
+        for p in parties.iter().filter(|_| cfg!(debug_assertions)) {
+            // Sanity versus the plaintext model: `ρ·p_j + ρ_j`, `0 ≤ ρ_j < ρ`.
+            let gain = p.info().map(|info| partial_gain(q, &self.profile, info));
+            let offset = gain.map(|g| p.masked - rho * g);
+            let on_model = offset.is_some_and(|o| (0..rho).contains(&o));
+            // tidy:allow(secret-escape) — debug-only self-check against the plaintext model; only a pass/fail bit, compiled out of release builds
+            debug_assert!(on_model, "masked gain off the model");
+        }
+        let gain_output = GainPhaseOutput {
+            betas: parties.iter().map(|p| p.value.clone()).collect(),
+            masked_signed: parties.iter().map(|p| p.masked).collect(),
+        };
+        let n = self.params.participants();
+        let per_party: Vec<Duration> = (0..=n)
+            .map(|p| {
+                self.gain_timer.spent(p) + self.sort_timer.spent(p) + self.submit_timer.spent(p)
+            })
+            .collect();
+        let timings = PhaseTimings {
+            gain: self.gain_timer.mean_participant(),
+            sort: self.sort_timer.mean_participant(),
+            submit: self.submit_timer.spent(0),
+            initiator: per_party[0],
+            per_party,
+        };
+        self.result = Some(Outcome {
+            ranks: parties.iter().map(|p| p.rank).collect(),
+            top_k: report.accepted,
+            traffic: self.log.summary(),
+            timings,
+            gain_output,
+        });
+        Ok(())
     }
 }
 

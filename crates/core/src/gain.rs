@@ -1,6 +1,8 @@
 //! Phase 1 — secure gain computation (paper Fig. 1, steps 1–4).
 //!
-//! Each participant runs the secure dot product with the initiator:
+//! Each participant runs the secure dot product with the initiator (the
+//! [`Round::GainRequest`](crate::party::Round::GainRequest) and
+//! [`Round::GainReply`](crate::party::Round::GainReply) rounds):
 //! the participant supplies `w′_j = [vg_j, ve_j∗ve_j, ve_j]` (her data),
 //! the initiator supplies `v′_j = [ρ·wg, −ρ·we, 2ρ(w∗ve₀)]` and the mask
 //! `α = ρ_j`, and the participant ends up with the masked partial gain
@@ -14,152 +16,17 @@
 //! paper allows ("If `p_i = p_j`, it does not matter if `P_i` ranks higher
 //! or lower than `P_j`", Sec. V).
 
-use crate::attrs::{partial_gain, InfoVector, InitiatorProfile};
-use crate::params::FrameworkParams;
-use crate::timing::PartyTimer;
-use ppgr_bigint::{BigUint, Fp};
-use ppgr_dotprod::{default_field, DotProduct};
-use ppgr_net::TrafficLog;
-use rand::Rng;
+use ppgr_bigint::BigUint;
 
-/// Bytes of one serialized field element on the wire (256-bit field).
-const FIELD_BYTES: usize = 32;
-
-/// Output of the gain phase, held by the orchestrator: each participant's
-/// private masked gain (in real deployments each `β_j` exists only at
-/// `P_j`; the orchestrator model keeps them together for the next phase).
+/// Output of the gain phase, held by the in-process driver: each
+/// participant's private masked gain (in real deployments each `β_j`
+/// exists only at `P_j`; the in-process model keeps them together).
 #[derive(Clone, Debug)]
 pub struct GainPhaseOutput {
     /// `β_j` as unsigned `l`-bit integers, index `j-1` for participant `j`.
     pub betas: Vec<BigUint>,
     /// The masked signed values `ρ·p_j + ρ_j` (diagnostics/tests only).
     pub masked_signed: Vec<i128>,
-}
-
-/// Runs phase 1 for all participants.
-///
-/// Traffic is recorded into `log` (phase label `"gain"`), computation time
-/// into `timer` (party 0 = initiator).
-///
-/// # Panics
-///
-/// Panics if `infos.len()` differs from `params.participants()` — the
-/// orchestrator constructs both, so a mismatch is a bug, not input error.
-pub fn run_gain_phase<R: Rng + ?Sized>(
-    params: &FrameworkParams,
-    profile: &InitiatorProfile,
-    infos: &[InfoVector],
-    rng: &mut R,
-    log: &TrafficLog,
-    timer: &mut PartyTimer,
-    round_base: u32,
-) -> GainPhaseOutput {
-    assert_eq!(
-        infos.len(),
-        params.participants(),
-        "population size mismatch"
-    );
-    let field = default_field();
-    let proto = DotProduct::new(field.clone());
-    let q = params.questionnaire();
-    let t = q.equal_to_count();
-    let m = q.dimension();
-    let l = params.beta_bits();
-
-    // Initiator secret ρ: exactly h bits (top bit set ⇒ ρ ≥ 2^{h−1} > 0).
-    // `FrameworkParams::build` already rejects h = 0 and h ≥ 64; the
-    // checked shift keeps an uncomposed call (e.g. a hand-rolled params
-    // struct in a fuzz harness) from silently wrapping.
-    let h = params.mask_bits();
-    assert!(
-        (1..64).contains(&h),
-        "mask width h={h} outside supported 1..64"
-    );
-    let rho: u64 = timer.time(0, || {
-        let top = 1u64 << (h - 1);
-        top | rng.gen_range(0..top)
-    });
-
-    // Initiator's reusable vector pieces.
-    let w = profile.weights.values();
-    let v0 = profile.criterion.values();
-    let initiator_v: Vec<Fp> = timer.time(0, || {
-        let mul = |a: i128, b: i128| {
-            a.checked_mul(b)
-                // tidy:allow(panic) — params' bit-length calculus bounds every term far below i128::MAX
-                .expect("initiator vector term exceeds exact i128 gain arithmetic")
-        };
-        let mut v = Vec::with_capacity(m + t);
-        // ρ·wg  (greater-than weights)
-        for &wk in &w[t..m] {
-            v.push(field.from_i128(mul(rho as i128, wk as i128)));
-        }
-        // −ρ·we (equal-to weights)
-        for &wk in &w[..t] {
-            v.push(field.from_i128(mul(-(rho as i128), wk as i128)));
-        }
-        // 2ρ·(we ∗ ve₀)
-        for k in 0..t {
-            v.push(field.from_i128(mul(mul(2 * rho as i128, w[k] as i128), v0[k] as i128)));
-        }
-        v
-    });
-
-    let mut betas = Vec::with_capacity(infos.len());
-    let mut masked_signed = Vec::with_capacity(infos.len());
-    for (idx, info) in infos.iter().enumerate() {
-        let party = idx + 1;
-        // Participant's vector w′ = [vg_j, ve_j∗ve_j, ve_j].
-        let vj = info.values();
-        let (state, msg1) = timer.time(party, || {
-            let mut wv = Vec::with_capacity(m + t);
-            for &vk in &vj[t..m] {
-                wv.push(field.from_i128(vk as i128));
-            }
-            for &vk in &vj[..t] {
-                wv.push(field.from_i128(vk as i128 * vk as i128));
-            }
-            for &vk in &vj[..t] {
-                wv.push(field.from_i128(vk as i128));
-            }
-            proto.sender_round1(&wv, rng)
-        });
-        log.record(
-            round_base,
-            party,
-            0,
-            msg1.element_count() * FIELD_BYTES,
-            "gain",
-        );
-
-        let rho_j = rng.gen_range(0..rho);
-        let msg2 = timer.time(0, || {
-            let alpha = field.from_i128(rho_j as i128);
-            proto.receiver_round2(&initiator_v, &alpha, &msg1, rng)
-        });
-        log.record(round_base + 1, 0, party, 2 * FIELD_BYTES, "gain");
-
-        let beta = timer.time(party, || {
-            let beta = state.finish(&msg2);
-            let signed = beta
-                .to_i128_centered()
-                // tidy:allow(panic) — params' bit-length calculus keeps masked gains inside i128
-                .expect("masked gain fits the bit-length calculus");
-            // Sanity versus the local plaintext model.
-            debug_assert_eq!(
-                signed,
-                // tidy:allow(secret-hygiene) — debug-only self-check against the plaintext model; compiled out of release builds
-                rho as i128 * partial_gain(q, profile, info) + rho_j as i128
-            );
-            signed
-        });
-        masked_signed.push(beta);
-        betas.push(to_unsigned(beta, l));
-    }
-    GainPhaseOutput {
-        betas,
-        masked_signed,
-    }
 }
 
 /// Converts a signed masked gain to the unsigned `l`-bit representation by
@@ -191,13 +58,18 @@ pub fn to_unsigned(value: i128, l: usize) -> BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrs::Questionnaire;
+    use crate::attrs::{partial_gain, InfoVector, InitiatorProfile, Questionnaire};
+    use crate::framework::{GroupRanking, Outcome};
     use crate::params::FrameworkParams;
-    use crate::timing::PartyTimer;
-    use rand::rngs::StdRng;
+    use crate::wire::FIELD_BYTES;
+    use ppgr_hash::HashDrbg;
     use rand::SeedableRng;
 
-    fn setup(n: usize, seed: u64) -> (FrameworkParams, InitiatorProfile, Vec<InfoVector>, StdRng) {
+    type Run = (FrameworkParams, InitiatorProfile, Vec<InfoVector>, Outcome);
+
+    /// Runs a whole session, returning its population, outcome and the
+    /// gain phase's messages as `(from, to, bytes)`.
+    fn run(n: usize, seed: u64) -> (Run, Vec<(usize, usize, usize)>) {
         let q = Questionnaire::synthetic(2, 3);
         let params = FrameworkParams::builder(q)
             .participants(n)
@@ -208,18 +80,22 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = HashDrbg::seed_from_u64(seed);
         let (profile, infos) = params.random_population(&mut rng);
-        (params, profile, infos, rng)
+        let ranking = GroupRanking::new(params.clone())
+            .with_population(profile.clone(), infos.clone())
+            .unwrap();
+        let log = ranking.traffic_log();
+        let outcome = ranking.run().unwrap();
+        let gain = log.records().into_iter().filter(|r| r.phase == "gain");
+        let gain = gain.map(|r| (r.from, r.to, r.bytes)).collect();
+        ((params, profile, infos, outcome), gain)
     }
 
     #[test]
     fn masked_gains_preserve_partial_gain_order() {
-        let (params, profile, infos, mut rng) = setup(8, 1);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(9);
-        let out = run_gain_phase(&params, &profile, &infos, &mut rng, &log, &mut timer, 0);
-
+        let ((params, profile, infos, outcome), _) = run(8, 1);
+        let out = outcome.masked_gains();
         let q = params.questionnaire();
         let gains: Vec<i128> = infos.iter().map(|i| partial_gain(q, &profile, i)).collect();
         for a in 0..infos.len() {
@@ -238,27 +114,38 @@ mod tests {
 
     #[test]
     fn betas_fit_bit_length() {
-        let (params, profile, infos, mut rng) = setup(5, 2);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(6);
-        let out = run_gain_phase(&params, &profile, &infos, &mut rng, &log, &mut timer, 0);
+        let ((params, _, _, outcome), _) = run(5, 2);
         let l = params.beta_bits();
-        for b in &out.betas {
+        for (b, &signed) in outcome
+            .masked_gains()
+            .betas
+            .iter()
+            .zip(&outcome.masked_gains().masked_signed)
+        {
             assert!(b.bits() <= l);
+            assert_eq!(b, &to_unsigned(signed, l));
         }
     }
 
     #[test]
     fn traffic_is_logged_per_participant() {
-        let (params, profile, infos, mut rng) = setup(4, 3);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(5);
-        let _ = run_gain_phase(&params, &profile, &infos, &mut rng, &log, &mut timer, 0);
-        let s = log.summary();
-        assert_eq!(s.messages, 8, "one exchange per participant");
-        assert!(s.bytes_by_phase["gain"] > 0);
-        // Initiator replies are small (2 elements); participant messages dominate.
-        assert!(s.bytes_sent_by_party[&1] > s.bytes_sent_by_party[&0] / 4);
+        let ((_, _, _, outcome), gain) = run(4, 3);
+        // One exchange per participant: a request to P₀, a 2-element reply.
+        assert_eq!(gain.len(), 8, "one exchange per participant");
+        for j in 1..=4 {
+            let sent = |from, to| gain.iter().filter(|r| (r.0, r.1) == (from, to)).count();
+            assert_eq!((sent(j, 0), sent(0, j)), (1, 1), "participant {j}");
+        }
+        let replies: Vec<usize> = gain.iter().filter(|r| r.0 == 0).map(|r| r.2).collect();
+        assert_eq!(replies, vec![2 * FIELD_BYTES; 4]);
+        let s = outcome.traffic();
+        let total: usize = gain.iter().map(|r| r.2).sum();
+        assert_eq!(s.bytes_by_phase["gain"], total as u64);
+        // The initiator speaks only in the gain phase.
+        assert_eq!(s.bytes_sent_by_party[&0], 4 * 2 * FIELD_BYTES as u64);
+        // Participant requests dominate the replies.
+        let request = gain.iter().find(|r| r.0 == 1).map_or(0, |r| r.2);
+        assert!(request > 2 * FIELD_BYTES);
     }
 
     #[test]

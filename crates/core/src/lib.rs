@@ -17,6 +17,12 @@
 //! | unlinkable gain comparison (the multiparty sorting protocol) | [`sorting`] + [`circuit`] |
 //! | ranking submission | [`submit`] |
 //!
+//! Each party's side of all three phases is written once, as per-party
+//! round code in [`party`]. Two drivers run it: in process,
+//! [`GroupRanking`] / [`SessionMachine`] step every party and hand the
+//! messages across; over a channel mesh, [`run_distributed`] runs a thread
+//! per party and frames the same messages with [`wire`].
+//!
 //! [`framework::GroupRanking`] orchestrates all three;
 //! [`games`] implements the security-game harnesses of Definitions 5/7;
 //! [`analysis`] encodes the Sec. VI-B complexity formulas.
@@ -60,6 +66,7 @@ pub mod gain;
 pub mod games;
 pub mod offline;
 mod params;
+pub mod party;
 pub mod sorting;
 pub mod submit;
 mod timing;
@@ -71,14 +78,15 @@ pub use attrs::{
     VectorError, WeightVector,
 };
 pub use distributed::{
-    consensus_primary, run_distributed, run_distributed_with, DistributedConfig, DistributedError,
-    DistributedFailure, DistributedOutcome,
+    consensus_primary, run_distributed, run_distributed_recorded, run_distributed_with,
+    DistributedConfig, DistributedError, DistributedFailure, DistributedOutcome,
 };
 pub use framework::{GroupRanking, Outcome, PhaseTimings, RunError, SessionMachine, SessionStatus};
-pub use offline::{KeyStock, OfflineStock, StockFingerprint, StockTier, STOCK_LAYOUT};
+pub use offline::{OfflineStock, PartyStock, StockFingerprint, StockTier, STOCK_LAYOUT};
 // Re-exported because scratch recycling ([`SessionMachine::adopt_hop_scratch`])
 // names it in this crate's public signatures.
 pub use params::{bit_length, FrameworkParams, FrameworkParamsBuilder, ParamError};
+pub use party::Transcript;
 pub use ppgr_elgamal::Ciphertext;
 pub use sorting::{
     unlinkable_sort, verify_deferred_jobs, KeygenVerifyJob, SortError, SortMachine, SortOptions,

@@ -5,36 +5,35 @@
 //! distributed key shares are party randomness (paper Sec. IV — the joint
 //! ElGamal key is minted before any preference is encrypted), the proof of
 //! key knowledge is honest-verifier (so its challenge shares are just more
-//! pool randomness), and every encryption/rerandomization mask `(g^r, y^r)`
+//! party randomness), and every encryption/rerandomization mask `(g^r, y^r)`
 //! follows from the key. What is irreducibly online is the variable-base
 //! work on other parties' ciphertexts: partial decryptions `β^{-x}` and the
 //! per-hop plaintext randomizers applied to foreign τ sets.
 //!
-//! [`OfflineStock`] is one session's worth of precomputed material. Its
-//! shape is a pure function of `(n, l)` — hop randomizers are generated
-//! even when a run disables randomization — so a precompute pool can stock
+//! [`OfflineStock`] is one session's worth of precomputed material, made of
+//! one [`PartyStock`] per participant. Party `j`'s slice is drawn from
+//! party `j`'s own offline stream — `HashDrbg::seed_from_u64(seed)` forked
+//! `b"offline"`, then `b"party-j"` — so a party running alone on the mesh
+//! draws exactly the scalars its slice of an in-process stock holds. Its
+//! shape is a pure function of `(n, l)` — hop randomizers are drawn even
+//! when a run disables randomization — so a precompute pool can stock
 //! sessions knowing only their parameters, not their options or inputs.
-//! A stock comes in two tiers built from **one canonical scalar stream**:
+//! A stock comes in two tiers built from the **same scalar streams**:
 //!
 //! * **masks tier** ([`generate_masks_only`](OfflineStock::generate_masks_only)):
 //!   key-independent work only — key-share seeds, Schnorr nonces and
 //!   challenge shares, the fixed-base `g^r` half of every mask, hop
 //!   scalars. Keygen, the joint-key table and the `y^r` halves stay online.
 //! * **keygen tier** ([`generate`](OfflineStock::generate)): the masks tier
-//!   plus minted [`KeyPair`]s, assembled key-knowledge proofs, the combined
-//!   [`JointKey`] with its prepared comb table, and the `y^r` half of every
-//!   mask. The online keygen round reduces to exchanging shares and
-//!   batch-verifying the proofs.
+//!   plus minted [`KeyPair`]s, assembled key-knowledge proofs, the joint
+//!   key's prepared comb table, the `y^r` half of every mask and the
+//!   prepared hop scalars. Only an in-process driver, which holds every
+//!   party's slice, can mint this tier.
 //!
 //! The tiers draw *identical* scalars at *identical* stream positions —
 //! they differ only in how much exponentiation is done ahead of time — so
 //! cold, masks-warm and keygen-warm sessions are bit-identical, transcript
 //! and ranks alike.
-//!
-//! Determinism: a stock for a session seeded `s` is drawn from
-//! `HashDrbg::seed_from_u64(s).fork(b"offline")` — a stream disjoint from
-//! the session's `b"protocol"` fork — so a session that receives a
-//! pool-generated stock and one that builds its own cold are bit-identical.
 
 use ppgr_bigint::Secret;
 use ppgr_elgamal::{ExpElGamal, JointKey, KeyPair, MaskPair};
@@ -42,12 +41,11 @@ use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
 use ppgr_hash::HashDrbg;
 use ppgr_zkp::{verify_multi_batch, MultiVerifierProof, MultiVerifierTranscript, SchnorrNonce};
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// The draw-order layout this module currently mints (see
 /// [`StockFingerprint::layout`]).
-pub const STOCK_LAYOUT: u32 = 2;
+pub const STOCK_LAYOUT: u32 = 3;
 
 /// The session shape a DRBG-generated stock was built for.
 ///
@@ -93,105 +91,37 @@ pub enum StockTier {
     Keygen,
 }
 
-/// The keygen slice of a stock: every party's key material and proof of
-/// key knowledge, either as raw seeds (masks tier) or fully minted (keygen
-/// tier). Both forms carry secret exponents; `{:?}` redacts through the
-/// inner [`Secret`]/[`KeyPair`] wrappers.
-pub struct KeyStock(pub(crate) KeyMaterial);
-
-/// What [`OfflineStock::take_keys`] hands the sorting machine.
-pub(crate) enum KeyMaterial {
-    /// Masks tier: the scalars are drawn but nothing is exponentiated.
-    Seeds {
-        /// Per-party secret key shares `x_j`, party order.
-        secrets: Vec<Secret<Scalar>>,
-        /// Per-party Schnorr commitment nonces, party order.
-        nonces: Vec<SchnorrNonce>,
-        /// Per-prover honest-verifier challenge shares (`n − 1` each).
-        challenges: Vec<Vec<Scalar>>,
-    },
-    /// Keygen tier: keys and proofs are minted, the joint key is combined
-    /// and its comb table prepared.
-    Minted {
-        /// Per-party key pairs, party order.
-        pairs: Vec<KeyPair>,
-        /// Per-party key-knowledge proofs, party order.
-        proofs: Vec<MultiVerifierTranscript>,
-        /// The combined joint key.
-        joint: JointKey,
-        /// Prepared fixed-base table for the joint public key.
-        table: FixedBaseTable,
-        /// Whether every party's batch verification of the others' proofs
-        /// was run at minting time and passed. The proofs are a pure
-        /// function of offline material, so checking them is offline work
-        /// too; a session consuming a verified stock skips the online
-        /// verification round entirely. The field is crate-private (as is
-        /// the whole enum), so externally supplied material can never claim
-        /// it without going through the minting path.
-        verified: bool,
-    },
+/// Party `j`'s offline stream for a session whose randomness derives
+/// from `base`.
+fn party_offline_stream(base: &HashDrbg, party: usize) -> HashDrbg {
+    base.fork(b"offline")
+        .fork(format!("party-{party}").as_bytes())
 }
 
-impl KeyStock {
-    fn parties(&self) -> usize {
-        match &self.0 {
-            KeyMaterial::Seeds { secrets, .. } => secrets.len(),
-            KeyMaterial::Minted { pairs, .. } => pairs.len(),
-        }
-    }
-
-    fn matches_shape(&self, n: usize) -> bool {
-        match &self.0 {
-            KeyMaterial::Seeds {
-                secrets,
-                nonces,
-                challenges,
-            } => {
-                secrets.len() == n
-                    && nonces.len() == n
-                    && challenges.len() == n
-                    && challenges.iter().all(|c| c.len() == n - 1)
-            }
-            KeyMaterial::Minted {
-                pairs,
-                proofs,
-                joint,
-                ..
-            } => {
-                pairs.len() == n
-                    && proofs.len() == n
-                    && proofs.iter().all(|p| p.challenges.len() == n - 1)
-                    && joint.parties() == n
-            }
-        }
-    }
+/// A party's key share: the drawn secret, or the exponentiated key pair.
+pub(crate) enum KeyForm {
+    Seed(Secret<Scalar>),
+    Pair(KeyPair),
 }
 
-impl fmt::Debug for KeyStock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tier = match &self.0 {
-            KeyMaterial::Seeds { .. } => StockTier::Masks,
-            KeyMaterial::Minted { .. } => StockTier::Keygen,
-        };
-        f.debug_struct("KeyStock")
-            .field("parties", &self.parties())
-            .field("tier", &tier)
-            .finish()
-    }
+/// A party's proof of key knowledge: the nonce it answers online, or the
+/// whole proof assembled offline from every verifier's stocked share.
+pub(crate) enum ProofForm {
+    Nonce(SchnorrNonce),
+    Minted(MultiVerifierTranscript),
 }
 
 /// One hop's randomizers for a single foreign τ set.
 ///
-/// Drawn as raw nonzero scalars; the keygen tier — which knows every hop
-/// secret — upgrades each set in place with the `−x·r` partial-decryption
-/// products and the signed-digit recodings the hop ladder consumes, moving
-/// that scalar arithmetic off the session clock. The masks tier (and cold
-/// sessions) keep the raw form and pay for the recoding online; both forms
-/// drive the exponentiation to bit-identical outputs.
+/// Drawn as raw nonzero scalars; once the hop's key pair is known the set
+/// is upgraded in place with the `−x·r` partial-decryption products and
+/// the signed-digit recodings the hop ladder consumes, moving that scalar
+/// arithmetic off the session clock. Both forms drive the exponentiation
+/// to bit-identical outputs.
 pub(crate) enum HopSet {
     /// Raw randomizers as drawn from the stream.
     Raw(Vec<Scalar>),
-    /// Keygen-tier form with precomputed `−x·r` and recodings.
+    /// Prepared form with precomputed `−x·r` and recodings.
     Prepared(Vec<HopScalars>),
 }
 
@@ -202,145 +132,175 @@ impl HopSet {
             HopSet::Prepared(ps) => ps.len(),
         }
     }
+}
 
-    /// The underlying randomizer scalars, tier-independent (tests compare
-    /// stocks across tiers through this view).
-    #[cfg(test)]
-    fn randomizers(&self) -> Vec<Scalar> {
-        match self {
-            HopSet::Raw(rs) => rs.clone(),
-            HopSet::Prepared(ps) => ps.iter().map(|p| p.randomizer().clone()).collect(),
-        }
+/// One party's slice of a session's offline stock, consumed front to back
+/// by that party's round code ([`crate::party::Party`]). Every field holds
+/// secret exponents; `{:?}` prints only the shape.
+pub struct PartyStock {
+    pub(crate) key: KeyForm,
+    pub(crate) proof: Option<ProofForm>,
+    /// Honest-verifier challenge shares, one per foreign prover (ascending).
+    pub(crate) challenges: Vec<Scalar>,
+    /// The `l` bit-encryption masks, least-significant bit first.
+    pub(crate) enc: Vec<MaskPair>,
+    /// One rerandomization mask per ciphertext of the party's τ set.
+    pub(crate) compare: Vec<MaskPair>,
+    /// Hop randomizers, one set per foreign owner (ascending).
+    pub(crate) hops: Vec<HopSet>,
+}
+
+impl fmt::Debug for PartyStock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PartyStock")
+            .field("minted", &matches!(self.key, KeyForm::Pair(_)))
+            .field("enc", &self.enc.len())
+            .field("compare", &self.compare.len())
+            .field("hop_sets", &self.hops.len())
+            .finish()
     }
 }
 
-/// One session's worth of precomputed randomness (see the module docs).
-///
-/// Consumed front-to-back by a [`SortMachine`](crate::sorting::SortMachine)
-/// in exact protocol order: the key stock at keygen, then the `n` per-party
-/// encryption mask rows (bits least-significant-first), then the `n`
-/// per-party comparison-set rerandomization rows, then the hop randomizer
-/// sets (hop by hop, foreign sets in ascending owner order).
+impl PartyStock {
+    /// Draws one party's slice: secret, nonce, `n − 1` challenge shares,
+    /// `l` encryption masks, `(n−1)·l` compare masks, then `n − 1` hop sets
+    /// of `(n−1)·l` nonzero randomizers. Any change here is a new
+    /// [`STOCK_LAYOUT`]. Returns `None` once `cancel` fires.
+    pub(crate) fn draw<R: Rng + ?Sized>(
+        group: &Group,
+        n: usize,
+        l: usize,
+        rng: &mut R,
+        cancel: &mut dyn FnMut() -> bool,
+    ) -> Option<Self> {
+        let secret = Secret::new(group.random_nonzero_scalar(rng));
+        let nonce = SchnorrNonce::draw(group, rng);
+        let challenges = (0..n - 1).map(|_| group.random_scalar(rng)).collect();
+        let enc = (0..l).map(|_| MaskPair::draw(group, rng)).collect();
+        if cancel() {
+            return None;
+        }
+        // A party's τ set is a deterministic homomorphic combination of
+        // published bit encryptions, so it is re-randomized before it
+        // joins the chain.
+        let set_len = (n - 1) * l;
+        let compare = (0..set_len).map(|_| MaskPair::draw(group, rng)).collect();
+        let mut hops = Vec::with_capacity(n - 1);
+        for _ in 0..n - 1 {
+            if cancel() {
+                return None;
+            }
+            // Nonzero: a zero multiplier would erase a plaintext, forging
+            // a rank.
+            hops.push(HopSet::Raw(
+                (0..set_len)
+                    .map(|_| group.random_nonzero_scalar(rng))
+                    .collect(),
+            ));
+        }
+        Some(PartyStock {
+            key: KeyForm::Seed(secret),
+            proof: Some(ProofForm::Nonce(nonce)),
+            challenges,
+            enc,
+            compare,
+            hops,
+        })
+    }
+
+    /// Draws party `party`'s slice of the stock for `fp` from its own
+    /// offline stream — what a party running alone on the mesh holds. It
+    /// stays at the masks tier: hop scalars prepared this early would sit
+    /// in memory through the whole session, while the hop recodes them in
+    /// bounded chunks at no extra exponentiation.
+    pub(crate) fn generate_own(fp: &StockFingerprint, party: usize) -> Self {
+        let group = fp.group.group();
+        let mut rng = party_offline_stream(&HashDrbg::seed_from_u64(fp.seed), party);
+        Self::draw(&group, fp.participants, fp.bits, &mut rng, &mut || false)
+            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+            .expect("a draw with a never-cancelling hook always completes")
+    }
+
+    /// Exponentiates the key share and folds it into the hop sets (the
+    /// `−x·r` products and recodings).
+    fn mint_own(&mut self, group: &Group) {
+        if let KeyForm::Seed(secret) = &self.key {
+            self.key = KeyForm::Pair(KeyPair::from_secret(group, secret.expose().clone()));
+        }
+        if let KeyForm::Pair(pair) = &self.key {
+            for set in &mut self.hops {
+                if let HopSet::Raw(rs) = set {
+                    *set = HopSet::Prepared(group.prepare_hop_scalars(pair.secret_key(), rs));
+                }
+            }
+        }
+    }
+
+    fn public_key(&self) -> Option<&Element> {
+        match &self.key {
+            KeyForm::Pair(pair) => Some(pair.public_key()),
+            KeyForm::Seed(_) => None,
+        }
+    }
+
+    fn matches_shape(&self, n: usize, l: usize) -> bool {
+        self.challenges.len() == n - 1
+            && self.enc.len() == l
+            && self.compare.len() == (n - 1) * l
+            && self.hops.len() == n - 1
+            && self.hops.iter().all(|set| set.len() == (n - 1) * l)
+    }
+}
+
+/// One session's worth of precomputed randomness (see the module docs):
+/// every participant's [`PartyStock`], plus — at the keygen tier — the
+/// joint key's prepared comb table and the minting-time proof verdict.
 pub struct OfflineStock {
-    keys: Option<KeyStock>,
-    enc: VecDeque<Vec<MaskPair>>,
-    compare: VecDeque<Vec<MaskPair>>,
-    hops: VecDeque<HopSet>,
+    parties: Vec<PartyStock>,
+    table: Option<FixedBaseTable>,
+    /// Whether every verifier's batch check of the minted proofs ran at
+    /// minting time and passed. The proofs are a pure function of offline
+    /// material, so checking them is offline work too; a session consuming
+    /// a verified stock skips the online verification round entirely. The
+    /// field is private, so external material can never claim it without
+    /// going through the minting path.
+    verified: bool,
     fingerprint: Option<StockFingerprint>,
 }
 
 impl fmt::Debug for OfflineStock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OfflineStock")
-            .field("keys", &self.keys)
-            .field("enc_rows", &self.enc.len())
-            .field("compare_rows", &self.compare.len())
-            .field("hop_sets", &self.hops.len())
+            .field("parties", &self.parties)
+            .field("tier", &self.tier())
+            .field("verified", &self.verified)
             .field("fingerprint", &self.fingerprint)
             .finish()
     }
 }
 
 impl OfflineStock {
-    /// Draws a full keygen-tier stock for an `n`-party, `l`-bit session
-    /// from `rng`.
-    ///
-    /// This is the cold path: a machine with no pool-supplied stock draws
-    /// one from its own stream at its offline step, paying the minting cost
-    /// on the session clock. The scalar draw order is fixed regardless of
-    /// the run's options (see the module docs).
-    pub fn draw_from<R: Rng + ?Sized>(group: &Group, n: usize, l: usize, rng: &mut R) -> Self {
-        // A `false` cancellation hook never fires, so generation completes.
-        Self::draw_cancellable_from(group, n, l, rng, &mut || false, StockTier::Keygen, true)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
-    }
-
-    /// [`OfflineStock::draw_from`] with the minting-time proof verification
-    /// skipped, leaving the stock's `verified` verdict `false`.
-    ///
-    /// Verification reads only minted material and draws nothing from the
-    /// stream, so the stock is bit-identical to [`OfflineStock::draw_from`]
-    /// output — only the verdict differs. Used by deferred-verification
-    /// sessions (see [`SortOptions::defer_verify`]), which stash the keygen
-    /// proof check as a [`KeygenVerifyJob`] for a cross-session batch
-    /// instead of paying for it at draw time.
-    ///
-    /// [`SortOptions::defer_verify`]: crate::sorting::SortOptions
-    /// [`KeygenVerifyJob`]: crate::sorting::KeygenVerifyJob
-    pub(crate) fn draw_from_deferred<R: Rng + ?Sized>(
-        group: &Group,
-        n: usize,
-        l: usize,
-        rng: &mut R,
-    ) -> Self {
-        // See `draw_from`: the hook never fires.
-        Self::draw_cancellable_from(group, n, l, rng, &mut || false, StockTier::Keygen, false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
-    }
-
-    /// Invalidates `party`'s key-knowledge proof in a minted (keygen-tier)
-    /// stock by bumping its response scalar, and clears the stock's
-    /// `verified` verdict so consumers re-check it.
-    ///
-    /// Test-harness hook: lets attribution tests feed a session a stock
-    /// whose proof `party` must be rejected — by the online verification
-    /// loop or by a deferred cross-session batch — without forging wire
-    /// bytes. No-op on a masks-tier stock or when keys were already taken.
-    #[doc(hidden)]
-    pub fn corrupt_key_proof(&mut self, group: &Group, party: usize) {
-        if let Some(KeyStock(KeyMaterial::Minted {
-            proofs, verified, ..
-        })) = self.keys.as_mut()
-        {
-            if let Some(proof) = proofs.get_mut(party) {
-                ppgr_zkp::tamper::bump_multi_response(group, proof);
-                *verified = false;
-            }
-        }
-    }
-
     /// Generates the keygen-tier stock a session with fingerprint `fp`
     /// expects: keys, proofs, joint-key table and every `(g^r, y^r)` pair
-    /// fully minted.
+    /// fully minted, the proofs batch-verified.
     ///
-    /// Derives the session's dedicated offline stream
-    /// (`HashDrbg::seed_from_u64(seed).fork(b"offline")`) and draws from
-    /// it, so the result is identical to what the session itself would
-    /// build cold.
+    /// Draws every party's slice from that party's offline stream, so the
+    /// result is identical to what the session itself would build cold.
     pub fn generate(fp: StockFingerprint) -> Self {
-        // See `draw_from`: the hook never fires.
-        Self::generate_cancellable(fp, &mut || false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
+        Self::complete(fp, None, StockTier::Keygen, true)
     }
 
     /// [`OfflineStock::generate`] with the minting-time proof verification
-    /// skipped (`verified` stays `false`), for deferred-verification
-    /// sessions generating their stock cold. Stock bytes are identical to
-    /// [`OfflineStock::generate`] output — see
-    /// [`OfflineStock::draw_from_deferred`].
+    /// skipped (`verified` stays `false`), for sessions that settle the
+    /// keygen proofs in a cross-session batch instead (see
+    /// [`SortOptions::defer_verify`](crate::sorting::SortOptions)).
+    /// Verification draws nothing, so the stock bytes are identical.
     pub(crate) fn generate_deferred(fp: StockFingerprint) -> Self {
-        let group = fp.group.group();
-        let mut rng = HashDrbg::seed_from_u64(fp.seed).fork(b"offline");
-        let mut stock = Self::draw_cancellable_from(
-            &group,
-            fp.participants,
-            fp.bits,
-            &mut rng,
-            &mut || false,
-            StockTier::Keygen,
-            false,
-        )
-        // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-        .expect("generation with a never-cancelling hook always completes");
-        stock.fingerprint = Some(fp);
-        stock
+        Self::complete(fp, None, StockTier::Keygen, false)
     }
 
     /// [`OfflineStock::generate`] stopped at the masks tier: the same
-    /// scalar stream, but only the key-independent exponentiations (`g^r`
+    /// scalar streams, but only the key-independent exponentiations (`g^r`
     /// halves, Schnorr commitments) are done. Keygen, the joint-key table
     /// and the `y^r` halves remain online work for the session.
     ///
@@ -348,21 +308,7 @@ impl OfflineStock {
     /// same cold baseline; a session consuming this stock is bit-identical
     /// to one consuming the keygen tier.
     pub fn generate_masks_only(fp: StockFingerprint) -> Self {
-        let group = fp.group.group();
-        let mut rng = HashDrbg::seed_from_u64(fp.seed).fork(b"offline");
-        let mut stock = Self::draw_cancellable_from(
-            &group,
-            fp.participants,
-            fp.bits,
-            &mut rng,
-            &mut || false,
-            StockTier::Masks,
-            true,
-        )
-        // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-        .expect("generation with a never-cancelling hook always completes");
-        stock.fingerprint = Some(fp);
-        stock
+        Self::complete(fp, None, StockTier::Masks, true)
     }
 
     /// [`OfflineStock::generate`] with a cancellation hook for background
@@ -374,238 +320,205 @@ impl OfflineStock {
         fp: StockFingerprint,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Self> {
+        Self::build(fp, None, StockTier::Keygen, true, cancel)
+    }
+
+    /// The keygen-tier stock of a stand-alone sort whose randomness
+    /// derives from `base` (no `u64` seed, so no fingerprint), its proofs
+    /// verified at minting time unless `deferred`.
+    pub(crate) fn generate_from(
+        base: &HashDrbg,
+        group: GroupKind,
+        n: usize,
+        l: usize,
+        deferred: bool,
+    ) -> Self {
+        let fp = StockFingerprint::new(0, n, l, group);
+        OfflineStock {
+            fingerprint: None,
+            ..Self::complete(fp, Some(base), StockTier::Keygen, !deferred)
+        }
+    }
+
+    /// [`OfflineStock::build`] with a never-cancelling hook.
+    fn complete(
+        fp: StockFingerprint,
+        base: Option<&HashDrbg>,
+        tier: StockTier,
+        verify_at_mint: bool,
+    ) -> Self {
+        Self::build(fp, base, tier, verify_at_mint, &mut || false)
+            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+            .expect("generation with a never-cancelling hook always completes")
+    }
+
+    /// Draws the stock for `fp`'s shape from the party streams of `base`
+    /// (by default, of `fp`'s seed).
+    fn build(
+        fp: StockFingerprint,
+        base: Option<&HashDrbg>,
+        tier: StockTier,
+        verify_at_mint: bool,
+        cancel: &mut dyn FnMut() -> bool,
+    ) -> Option<Self> {
         let group = fp.group.group();
-        let mut rng = HashDrbg::seed_from_u64(fp.seed).fork(b"offline");
-        let mut stock = Self::draw_cancellable_from(
-            &group,
-            fp.participants,
-            fp.bits,
-            &mut rng,
-            cancel,
-            StockTier::Keygen,
-            true,
-        )?;
-        stock.fingerprint = Some(fp);
+        let (n, l) = (fp.participants, fp.bits);
+        let base = base
+            .cloned()
+            .unwrap_or_else(|| HashDrbg::seed_from_u64(fp.seed));
+        let mut parties = Vec::with_capacity(n);
+        for party in 1..=n {
+            if cancel() {
+                return None;
+            }
+            let mut rng = party_offline_stream(&base, party);
+            parties.push(PartyStock::draw(&group, n, l, &mut rng, cancel)?);
+        }
+        let mut stock = OfflineStock {
+            parties,
+            table: None,
+            verified: false,
+            fingerprint: Some(fp),
+        };
+        if tier == StockTier::Keygen {
+            stock.mint(&group, verify_at_mint, cancel)?;
+        }
         Some(stock)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn draw_cancellable_from<R: Rng + ?Sized>(
+    /// The keygen tier: every party's own minting, then what needs every
+    /// slice at once — the joint key's table, the `y^r` mask halves and
+    /// each prover's proof assembled from the other parties' stocked
+    /// challenge shares. No further stream draws.
+    fn mint(
+        &mut self,
         group: &Group,
-        n: usize,
-        l: usize,
-        rng: &mut R,
-        cancel: &mut dyn FnMut() -> bool,
-        tier: StockTier,
         verify_at_mint: bool,
-    ) -> Option<Self> {
-        // ---- canonical scalar stream -----------------------------------
-        // Both tiers draw exactly this sequence; they differ only in how
-        // much is exponentiated afterwards. Any change here is a new
-        // STOCK_LAYOUT.
-        let mut secrets = Vec::with_capacity(n);
-        for _ in 0..n {
+        cancel: &mut dyn FnMut() -> bool,
+    ) -> Option<()> {
+        let n = self.parties.len();
+        for party in &mut self.parties {
             if cancel() {
                 return None;
             }
-            secrets.push(Secret::new(group.random_nonzero_scalar(rng)));
+            party.mint_own(group);
         }
-        let mut nonces = Vec::with_capacity(n);
-        let mut challenges: Vec<Vec<Scalar>> = Vec::with_capacity(n);
-        for _ in 0..n {
+        let keys: Vec<Element> = self
+            .parties
+            .iter()
+            .filter_map(|p| p.public_key().cloned())
+            .collect();
+        let joint = JointKey::combine(group, &keys);
+        let table = ExpElGamal::new(group.clone()).prepare_key(joint.public_key());
+        // Prover p's challenge shares, in verifier order: verifier v keeps
+        // one share per foreign prover, ascending, so p sits at p or p − 1.
+        let challenges: Vec<Vec<Scalar>> = (0..n)
+            .map(|p| {
+                (0..n)
+                    .filter(|&v| v != p)
+                    .map(|v| self.parties[v].challenges[if p < v { p } else { p - 1 }].clone())
+                    .collect()
+            })
+            .collect();
+        for (party, chals) in self.parties.iter_mut().zip(challenges) {
             if cancel() {
                 return None;
             }
-            nonces.push(SchnorrNonce::draw(group, rng));
-            challenges.push((0..n - 1).map(|_| group.random_scalar(rng)).collect());
-        }
-        let mut enc: VecDeque<Vec<MaskPair>> = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            if cancel() {
-                return None;
-            }
-            enc.push_back((0..l).map(|_| MaskPair::draw(group, rng)).collect());
-        }
-        // One rerandomization mask per comparison-set ciphertext: each
-        // party's τ set is a deterministic homomorphic combination of
-        // published bit encryptions, so it must be re-randomized before it
-        // is contributed to the chain.
-        let set_len = (n - 1) * l;
-        let mut compare: VecDeque<Vec<MaskPair>> = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            if cancel() {
-                return None;
-            }
-            compare.push_back((0..set_len).map(|_| MaskPair::draw(group, rng)).collect());
-        }
-        // n hops, each touching the n−1 foreign sets (ascending owner) of
-        // (n−1)·l ciphertexts each. Hop randomizers must be nonzero — a
-        // zero multiplier would erase a plaintext, forging a rank. They
-        // stay plain scalars: the hop applies them to *foreign* ciphertexts
-        // with variable bases, which no table can precompute.
-        let mut hops = VecDeque::with_capacity(n * (n - 1));
-        for _hop in 0..n {
-            for _set in 0..n - 1 {
-                if cancel() {
-                    return None;
-                }
-                hops.push_back(HopSet::Raw(
-                    (0..set_len)
-                        .map(|_| group.random_nonzero_scalar(rng))
-                        .collect(),
-                ));
+            MaskPair::fill_key_halves(group, &table, &mut party.enc);
+            MaskPair::fill_key_halves(group, &table, &mut party.compare);
+            if let (KeyForm::Pair(pair), Some(ProofForm::Nonce(nonce))) =
+                (&party.key, party.proof.take())
+            {
+                party.proof = Some(ProofForm::Minted(MultiVerifierProof::assemble(
+                    group,
+                    pair.secret_key(),
+                    nonce,
+                    chals,
+                )));
             }
         }
-        // ---- tier-dependent minting (no further stream draws) ----------
-        let keys = match tier {
-            StockTier::Masks => KeyStock(KeyMaterial::Seeds {
-                secrets,
-                nonces,
-                challenges,
-            }),
-            StockTier::Keygen => {
-                if cancel() {
-                    return None;
-                }
-                let pairs: Vec<KeyPair> = secrets
-                    .iter()
-                    .map(|s| KeyPair::from_secret(group, s.expose().clone()))
+        // Every verifier's batch check over the other parties' proofs
+        // (paper Sec. IV keygen round) reads only material minted above,
+        // so it is offline work: run it now and record the verdict.
+        // Honest minting always passes; the `false` arm keeps the online
+        // verification (and its blame) alive as a defence in depth.
+        if cancel() {
+            return None;
+        }
+        let proofs: Vec<&MultiVerifierTranscript> = self
+            .parties
+            .iter()
+            .filter_map(|p| match &p.proof {
+                Some(ProofForm::Minted(t)) => Some(t),
+                _ => None,
+            })
+            .collect();
+        self.verified = verify_at_mint
+            && proofs.len() == n
+            && (0..n).all(|v| {
+                let foreign: Vec<(&Element, &MultiVerifierTranscript)> = (0..n)
+                    .filter(|&p| p != v)
+                    .map(|p| (&keys[p], proofs[p]))
                     .collect();
-                let shares: Vec<Element> = pairs.iter().map(|p| p.public_key().clone()).collect();
-                let joint = JointKey::combine(group, &shares);
-                let table = ExpElGamal::new(group.clone()).prepare_key(joint.public_key());
-                let proofs: Vec<MultiVerifierTranscript> = pairs
-                    .iter()
-                    .zip(nonces)
-                    .zip(challenges)
-                    .map(|((pair, nonce), chals)| {
-                        MultiVerifierProof::assemble(group, pair.secret_key(), nonce, chals)
-                    })
-                    .collect();
-                for row in enc.iter_mut() {
-                    if cancel() {
-                        return None;
-                    }
-                    MaskPair::fill_key_halves(group, &table, row);
-                }
-                for row in compare.iter_mut() {
-                    if cancel() {
-                        return None;
-                    }
-                    MaskPair::fill_key_halves(group, &table, row);
-                }
-                // Every verifier's batch check over the other parties'
-                // proofs (paper Sec. IV keygen round) reads only material
-                // minted above, so it is offline work: run it now and
-                // record the verdict. Honest minting always passes; the
-                // `false` arm keeps the online verification (and its
-                // per-prover blame scan) alive as a defence in depth.
-                // Deferred-verification sessions skip the check here too
-                // (`verify_at_mint == false`): it draws nothing from the
-                // stream, so the stock stays bit-identical, and the unset
-                // verdict routes the check into a cross-session batch.
-                if cancel() {
-                    return None;
-                }
-                let verified = verify_at_mint
-                    && (0..n).all(|vidx| {
-                        let foreign: Vec<(&Element, &MultiVerifierTranscript)> = (0..n)
-                            .filter(|&p| p != vidx)
-                            .map(|p| (pairs[p].public_key(), &proofs[p]))
-                            .collect();
-                        verify_multi_batch(group, &foreign).is_ok()
-                    });
-                // Hop h is run by party h with her own secret share, and
-                // both the keygen tier above and the sorting machine are
-                // the same stock, so the `−x_h·r` partial-decryption
-                // products and the hop ladder's signed-digit recodings are
-                // a pure function of offline material: fold them into the
-                // sets now. Sets were drawn hop-major, `n − 1` per hop.
-                for (idx, set) in hops.iter_mut().enumerate() {
-                    if cancel() {
-                        return None;
-                    }
-                    if let HopSet::Raw(rs) = set {
-                        let secret = pairs[idx / (n - 1)].secret_key();
-                        *set = HopSet::Prepared(group.prepare_hop_scalars(secret, rs));
-                    }
-                }
-                KeyStock(KeyMaterial::Minted {
-                    pairs,
-                    proofs,
-                    joint,
-                    table,
-                    verified,
-                })
-            }
-        };
-        Some(OfflineStock {
-            keys: Some(keys),
-            enc,
-            compare,
-            hops,
-            fingerprint: None,
-        })
+                verify_multi_batch(group, &foreign).is_ok()
+            });
+        self.table = Some(table);
+        Some(())
     }
 
-    /// The fingerprint this stock was generated for (`None` for stocks
-    /// drawn ad hoc with [`OfflineStock::draw_from`]).
+    /// Invalidates `party`'s key-knowledge proof (0-based) in a minted
+    /// (keygen-tier) stock by bumping its response scalar, and clears the
+    /// stock's `verified` verdict so consumers re-check it.
+    ///
+    /// Test-harness hook: lets attribution tests feed a session a stock
+    /// whose proof `party` must be rejected — by the online verification
+    /// or by a deferred cross-session batch — without forging wire bytes.
+    /// No-op on a masks-tier stock.
+    #[doc(hidden)]
+    pub fn corrupt_key_proof(&mut self, group: &Group, party: usize) {
+        if let Some(Some(ProofForm::Minted(proof))) =
+            self.parties.get_mut(party).map(|p| p.proof.as_mut())
+        {
+            ppgr_zkp::tamper::bump_multi_response(group, proof);
+            self.verified = false;
+        }
+    }
+
+    /// The fingerprint this stock was generated for.
     pub fn fingerprint(&self) -> Option<&StockFingerprint> {
         self.fingerprint.as_ref()
     }
 
-    /// The tier the unconsumed key stock was minted at (`None` once the
-    /// keygen step has taken it).
-    pub fn tier(&self) -> Option<StockTier> {
-        self.keys.as_ref().map(|k| match &k.0 {
-            KeyMaterial::Seeds { .. } => StockTier::Masks,
-            KeyMaterial::Minted { .. } => StockTier::Keygen,
-        })
+    /// The tier the stock was minted at.
+    pub fn tier(&self) -> StockTier {
+        if self.table.is_some() {
+            StockTier::Keygen
+        } else {
+            StockTier::Masks
+        }
     }
 
     /// Whether the stock holds exactly an `n`-party, `l`-bit session's
-    /// worth of unconsumed material for `group`.
+    /// worth of material for `group`.
     pub fn matches_shape(&self, group: &Group, n: usize, l: usize) -> bool {
         if let Some(fp) = &self.fingerprint {
             if fp.group != group.kind() {
                 return false;
             }
         }
-        self.keys.as_ref().is_some_and(|k| k.matches_shape(n))
-            && self.enc.len() == n
-            && self.enc.iter().all(|row| row.len() == l)
-            && self.compare.len() == n
-            && self.compare.iter().all(|row| row.len() == (n - 1) * l)
-            && self.hops.len() == n * (n - 1)
-            && self.hops.iter().all(|set| set.len() == (n - 1) * l)
+        self.parties.len() == n && self.parties.iter().all(|p| p.matches_shape(n, l))
     }
 
-    /// The whole keygen slice, or `None` if already taken.
-    pub(crate) fn take_keys(&mut self) -> Option<KeyMaterial> {
-        self.keys.take().map(|k| k.0)
-    }
-
-    /// The next party's encryption mask row, or `None` if exhausted.
-    pub(crate) fn take_enc_row(&mut self) -> Option<Vec<MaskPair>> {
-        self.enc.pop_front()
-    }
-
-    /// The next party's comparison-set rerandomization row, or `None` if
-    /// exhausted.
-    pub(crate) fn take_compare_row(&mut self) -> Option<Vec<MaskPair>> {
-        self.compare.pop_front()
-    }
-
-    /// The next hop randomizer set, or `None` if exhausted.
-    pub(crate) fn take_hop_set(&mut self) -> Option<HopSet> {
-        self.hops.pop_front()
+    /// Splits the stock into the parties' slices, the joint-key table (keygen
+    /// tier) and the minting-time verdict.
+    pub(crate) fn into_parts(self) -> (Vec<PartyStock>, Option<FixedBaseTable>, bool) {
+        (self.parties, self.table, self.verified)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
 
     fn fp(seed: u64) -> StockFingerprint {
         StockFingerprint::new(seed, 3, 4, GroupKind::Ecc160)
@@ -613,7 +526,29 @@ mod tests {
 
     /// Tier-independent view of a stock's hop randomizers.
     fn hop_rs(s: &OfflineStock) -> Vec<Vec<Scalar>> {
-        s.hops.iter().map(HopSet::randomizers).collect()
+        s.parties
+            .iter()
+            .flat_map(|p| &p.hops)
+            .map(|set| match set {
+                HopSet::Raw(rs) => rs.clone(),
+                HopSet::Prepared(ps) => ps.iter().map(|p| p.randomizer().clone()).collect(),
+            })
+            .collect()
+    }
+
+    fn g_rs(s: &OfflineStock) -> Vec<Element> {
+        s.parties
+            .iter()
+            .flat_map(|p| p.enc.iter().chain(&p.compare))
+            .map(|m| m.g_r().clone())
+            .collect()
+    }
+
+    fn key_pair(p: &PartyStock) -> &KeyPair {
+        match &p.key {
+            KeyForm::Pair(pair) => pair,
+            KeyForm::Seed(_) => panic!("keygen tier expected"),
+        }
     }
 
     #[test]
@@ -633,11 +568,12 @@ mod tests {
         assert!(!stock.matches_shape(&group, 3, 5));
         assert!(!stock.matches_shape(&GroupKind::Dl1024.group(), 3, 4));
         assert_eq!(stock.fingerprint(), Some(&fp(7)));
-        assert_eq!(stock.tier(), Some(StockTier::Keygen));
+        assert_eq!(stock.tier(), StockTier::Keygen);
+        assert!(stock.verified);
 
         let masks = OfflineStock::generate_masks_only(fp(7));
         assert!(masks.matches_shape(&group, 3, 4));
-        assert_eq!(masks.tier(), Some(StockTier::Masks));
+        assert_eq!(masks.tier(), StockTier::Masks);
     }
 
     #[test]
@@ -645,12 +581,9 @@ mod tests {
         let a = OfflineStock::generate(fp(9));
         let b = OfflineStock::generate(fp(9));
         let c = OfflineStock::generate(fp(10));
-        let joint = |s: &OfflineStock| match &s.keys.as_ref().unwrap().0 {
-            KeyMaterial::Minted { joint, .. } => joint.public_key().clone(),
-            KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),
-        };
-        assert_eq!(joint(&a), joint(&b));
-        assert_ne!(joint(&a), joint(&c));
+        let table = |s: &OfflineStock| s.table.as_ref().map(|t| t.base().clone());
+        assert_eq!(table(&a), table(&b));
+        assert_ne!(table(&a), table(&c));
         assert_eq!(hop_rs(&a), hop_rs(&b));
         assert_ne!(hop_rs(&a), hop_rs(&c));
     }
@@ -663,64 +596,85 @@ mod tests {
         let full = OfflineStock::generate(fp(13));
         let masks = OfflineStock::generate_masks_only(fp(13));
         assert_eq!(hop_rs(&full), hop_rs(&masks));
-        // The keygen tier also carries the hops in prepared form; the
-        // masks tier leaves them raw for the session to recode.
-        assert!(full
-            .hops
-            .iter()
-            .all(|set| matches!(set, HopSet::Prepared(_))));
-        assert!(masks.hops.iter().all(|set| matches!(set, HopSet::Raw(_))));
-        let g_rs = |s: &OfflineStock| -> Vec<_> {
-            s.enc
+        assert_eq!(g_rs(&full), g_rs(&masks));
+        let hops = |s: &OfflineStock, prepared: bool| {
+            s.parties
                 .iter()
-                .chain(s.compare.iter())
-                .flatten()
-                .map(|p| p.g_r().clone())
+                .flat_map(|p| &p.hops)
+                .all(|set| matches!(set, HopSet::Prepared(_)) == prepared)
+        };
+        assert!(hops(&full, true));
+        assert!(hops(&masks, false));
+        // Full tier carries every key half; masks tier carries none.
+        let halves = |s: &OfflineStock| -> Vec<bool> {
+            s.parties
+                .iter()
+                .flat_map(|p| p.enc.iter().chain(&p.compare))
+                .map(MaskPair::has_key_half)
                 .collect()
         };
-        assert_eq!(g_rs(&full), g_rs(&masks));
-        // Full tier carries every key half; masks tier carries none.
-        assert!(full
-            .enc
-            .iter()
-            .chain(full.compare.iter())
-            .flatten()
-            .all(MaskPair::has_key_half));
-        assert!(!masks
-            .enc
-            .iter()
-            .chain(masks.compare.iter())
-            .flatten()
-            .any(MaskPair::has_key_half));
-        // The minted keys are exactly the masks tier's seeds, exponentiated.
+        assert!(halves(&full).iter().all(|&h| h));
+        assert!(!halves(&masks).iter().any(|&h| h));
+        // The minted keys are exactly the masks tier's seeds, exponentiated,
+        // and each minted proof answers the other parties' stocked shares.
         let group = GroupKind::Ecc160.group();
-        let (pairs, proofs, joint) = match full.keys.unwrap().0 {
-            KeyMaterial::Minted {
-                pairs,
-                proofs,
-                joint,
-                ..
-            } => (pairs, proofs, joint),
-            KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),
-        };
-        let (secrets, nonces, challenges) = match masks.keys.unwrap().0 {
-            KeyMaterial::Seeds {
-                secrets,
-                nonces,
-                challenges,
-            } => (secrets, nonces, challenges),
-            KeyMaterial::Minted { .. } => panic!("masks tier expected"),
-        };
-        for (pair, secret) in pairs.iter().zip(&secrets) {
-            assert_eq!(pair.public_key(), &group.exp_gen(secret.expose()));
-        }
-        for (((proof, nonce), chals), pair) in proofs.iter().zip(nonces).zip(challenges).zip(&pairs)
-        {
+        for (p, (minted, seeds)) in full.parties.iter().zip(&masks.parties).enumerate() {
+            let KeyForm::Seed(secret) = &seeds.key else {
+                panic!("masks tier expected");
+            };
+            assert_eq!(
+                key_pair(minted).public_key(),
+                &group.exp_gen(secret.expose())
+            );
+            let (Some(ProofForm::Minted(proof)), Some(ProofForm::Nonce(nonce))) =
+                (&minted.proof, &seeds.proof)
+            else {
+                panic!("tiers carry minted proofs and raw nonces");
+            };
             assert_eq!(&proof.commitment, nonce.commitment());
-            assert_eq!(proof.challenges, chals);
-            assert!(proof.verify(&group, pair.public_key()));
+            let expected: Vec<Scalar> = (0..3)
+                .filter(|&v| v != p)
+                .map(|v| seeds_share(&masks.parties[v], v, p))
+                .collect();
+            assert_eq!(proof.challenges, expected);
+            assert!(proof.verify(&group, key_pair(minted).public_key()));
         }
-        assert_eq!(joint.parties(), 3);
+    }
+
+    /// Verifier `v`'s stocked share for prover `p` (0-based).
+    fn seeds_share(stock: &PartyStock, v: usize, p: usize) -> Scalar {
+        stock.challenges[if p < v { p } else { p - 1 }].clone()
+    }
+
+    #[test]
+    fn a_party_draws_its_own_slice_alone() {
+        // A party on the mesh generates only its slice, from its own
+        // stream: it must hold the same scalars as that slice of the
+        // session-wide stock.
+        let group = GroupKind::Ecc160.group();
+        let full = OfflineStock::generate(fp(17));
+        for party in 1..=3 {
+            let own = PartyStock::generate_own(&fp(17), party);
+            let slice = &full.parties[party - 1];
+            let KeyForm::Seed(secret) = &own.key else {
+                panic!("a lone party's slice stays at the masks tier");
+            };
+            assert_eq!(
+                &group.exp_gen(secret.expose()),
+                key_pair(slice).public_key()
+            );
+            assert_eq!(own.challenges, slice.challenges);
+            let g = |p: &PartyStock| -> Vec<Element> {
+                p.enc
+                    .iter()
+                    .chain(&p.compare)
+                    .map(|m| m.g_r().clone())
+                    .collect()
+            };
+            assert_eq!(g(&own), g(slice));
+            assert!(own.matches_shape(3, 4));
+            assert!(!own.enc.iter().any(MaskPair::has_key_half));
+        }
     }
 
     #[test]
@@ -728,53 +682,33 @@ mod tests {
         let a = OfflineStock::generate(fp(11));
         let b = OfflineStock::generate_cancellable(fp(11), &mut || false).unwrap();
         assert_eq!(hop_rs(&a), hop_rs(&b));
-        let joint = |s: &OfflineStock| match &s.keys.as_ref().unwrap().0 {
-            KeyMaterial::Minted { joint, .. } => joint.public_key().clone(),
-            KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),
-        };
-        assert_eq!(joint(&a), joint(&b));
+        assert_eq!(g_rs(&a), g_rs(&b));
     }
 
     #[test]
     fn cancellation_stops_generation() {
         assert!(OfflineStock::generate_cancellable(fp(12), &mut || true).is_none());
         // Cancel part-way through: after a few polls the worker gives up.
-        let mut polls = 0usize;
-        let out = OfflineStock::generate_cancellable(fp(12), &mut || {
-            polls += 1;
-            polls > 4
-        });
-        assert!(out.is_none());
-        // Cancel during the minting batches at the end.
-        let mut polls = 0usize;
-        let out = OfflineStock::generate_cancellable(fp(12), &mut || {
-            polls += 1;
-            polls > 20
-        });
-        assert!(out.is_none());
+        for after in [4, 12, 16] {
+            let mut polls = 0usize;
+            let out = OfflineStock::generate_cancellable(fp(12), &mut || {
+                polls += 1;
+                polls > after
+            });
+            assert!(out.is_none(), "cancel after {after} polls");
+        }
     }
 
     #[test]
-    fn draws_consume_front_to_back_until_exhausted() {
+    fn corrupting_a_minted_proof_clears_the_verdict() {
         let group = GroupKind::Ecc160.group();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut stock = OfflineStock::draw_from(&group, 2, 3, &mut rng);
-        assert!(stock.fingerprint().is_none());
-        assert!(stock.matches_shape(&group, 2, 3));
-        assert!(stock.take_keys().is_some());
-        assert!(stock.take_keys().is_none());
-        assert_eq!(stock.tier(), None);
-        for _ in 0..2 {
-            assert_eq!(stock.take_enc_row().map(|r| r.len()), Some(3));
-        }
-        assert!(stock.take_enc_row().is_none());
-        for _ in 0..2 {
-            assert_eq!(stock.take_compare_row().map(|r| r.len()), Some(3));
-        }
-        assert!(stock.take_compare_row().is_none());
-        for _ in 0..2 {
-            assert_eq!(stock.take_hop_set().map(|s| s.len()), Some(3));
-        }
-        assert!(stock.take_hop_set().is_none());
+        let mut stock = OfflineStock::generate(fp(19));
+        assert!(stock.verified);
+        stock.corrupt_key_proof(&group, 1);
+        assert!(!stock.verified);
+        let Some(ProofForm::Minted(proof)) = &stock.parties[1].proof else {
+            panic!("keygen tier expected");
+        };
+        assert!(!proof.verify(&group, key_pair(&stock.parties[1]).public_key()));
     }
 }

@@ -22,7 +22,7 @@ pub enum ParamError {
     ZeroWidth(&'static str),
     /// The mask width `h` must stay below 64: the initiator's secret `ρ`
     /// is sampled as an exactly-`h`-bit `u64`
-    /// (see [`crate::gain::run_gain_phase`]).
+    /// (see [`crate::party::Initiator::new`]).
     MaskTooWide {
         /// requested h
         h: u32,

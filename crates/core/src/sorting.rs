@@ -21,24 +21,20 @@
 //! 5. `P_n` returns each set to its owner, who strips her own key layer
 //!    and counts zeros: `rank = zeros + 1`.
 
-use crate::circuit::compare_encrypted;
-use crate::offline::{HopSet, KeyMaterial, OfflineStock};
+use crate::distributed::DistributedError;
+use crate::offline::OfflineStock;
+use crate::party::{emit, party_stream, Codec, Initiator, Msg, Node, Party, Round, Transcript};
 use crate::timing::PartyTimer;
+use crate::wire::FIELD_BYTES;
 use ppgr_bigint::BigUint;
-use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey, KeyPair};
+use ppgr_elgamal::{Ciphertext, KeyPair};
 use ppgr_group::{Element, Group, GroupKind};
-use ppgr_net::TrafficLog;
-use ppgr_zkp::{
-    verify_multi_batch, verify_multi_batch_all, verify_sessions_multi_batch, MultiVerifierProof,
-    MultiVerifierTranscript,
-};
-use rand::seq::SliceRandom;
-use rand::Rng;
+use ppgr_hash::HashDrbg;
+use ppgr_net::{Phase, TrafficLog};
+use ppgr_zkp::{verify_multi_batch_all, verify_sessions_multi_batch, MultiVerifierTranscript};
+use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-// tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-use std::time::{Duration, Instant};
 
 /// Errors from the sorting protocol.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -246,70 +242,6 @@ pub fn verify_deferred_jobs(jobs: &[KeygenVerifyJob]) -> Vec<Result<(), SortErro
     verdicts
 }
 
-/// Resolves [`SortOptions::threads`] to a concrete worker count.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// Runs `f` over `items` on up to `workers` scoped threads, preserving
-/// item order in the output. Returns the results plus the total CPU time
-/// summed across workers (for [`PartyTimer::record`]). `f` must not touch
-/// the protocol RNG — callers pre-draw any randomness serially.
-fn parallel_map<T: Sync, U: Send>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(&T) -> U + Sync,
-) -> (Vec<U>, Duration) {
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers == 1 {
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let start = Instant::now();
-        let out: Vec<U> = items.iter().map(&f).collect();
-        return (out, start.elapsed());
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    let mut cpu = Duration::ZERO;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-                    let start = Instant::now();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&items[i])));
-                    }
-                    (out, start.elapsed())
-                })
-            })
-            .collect();
-        for handle in handles {
-            // A worker that panicked (e.g. an assert in `f`) must not be
-            // swallowed into a bogus result; re-raise its payload on the
-            // caller's thread instead.
-            let (part, spent) = match handle.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            indexed.extend(part);
-            cpu += spent;
-        }
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    (indexed.into_iter().map(|(_, u)| u).collect(), cpu)
-}
-
 /// Everything a run exposes beyond the ranks — consumed by the
 /// security-game harness (an adversary's view is a subset of this).
 #[derive(Clone, Debug)]
@@ -389,28 +321,55 @@ pub enum SortStatus {
     Done,
 }
 
-/// Where a [`SortMachine`] currently stands in the protocol.
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-enum SortState {
-    /// Offline phase: acquire (or draw cold) the precomputed stock — key
-    /// material with proofs, encryption and comparison mask pairs, hop
-    /// randomizers.
-    Offline,
-    /// Step 5: key generation + proofs of knowledge (all parties).
-    KeyGen,
-    /// Step 6: bitwise encryption under the joint key (all parties).
-    Encrypt,
-    /// Step 7: party `idx + 1` builds her τ-sets.
-    Compare { idx: usize },
-    /// Step 8: party `idx + 1` runs her shuffle-decrypt chain hop.
-    Hop { idx: usize },
-    /// Step 9: owners strip their layers, count zeros, assemble the result.
-    Finish,
-    /// Result available.
-    Done,
+/// One [`SortMachine::step`]: rounds of the schedule, each with the party
+/// that acts in it. The empty step hands the parties their stock slices.
+type Step = Vec<(Round, usize)>;
+
+/// The in-process step plan over [`Round::schedule`]: one step per phase,
+/// except that each party's comparison (with the hand-over of its τ set to
+/// `P₁`) and each chain hop is a step of its own, and the offline hand-out
+/// precedes keygen. A stand-alone sort skips the initiator's rounds.
+fn plan(n: usize, session: bool) -> Vec<Step> {
+    let mut steps: Vec<((Phase, usize), Step)> = Vec::new();
+    for round in Round::schedule(n) {
+        let initiator = matches!(
+            round,
+            Round::GainRequest(_) | Round::GainReply(_) | Round::Submit
+        );
+        if initiator && !session {
+            continue;
+        }
+        if round == Round::KeyShares {
+            steps.push(((Phase::KeyGen, usize::MAX), Vec::new()));
+        }
+        for j in (0..=n).filter(|&j| round.acts(j, n)) {
+            let key = match round {
+                Round::Compare | Round::Collect => (Phase::Compare, j),
+                Round::Hop(i) => (Phase::Hop, i),
+                Round::Finish => (Phase::Hop, n + 1),
+                r => (r.phase(), 0),
+            };
+            match steps.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, step)) => step.push((round, j)),
+                None => steps.push((key, vec![(round, j)])),
+            }
+        }
+    }
+    steps.into_iter().map(|(_, step)| step).collect()
 }
 
-/// A resumable execution of the sorting protocol.
+/// Maps a party round's error to the sort's: a rejected proof keeps its
+/// blame; anything else means the in-process driver broke an invariant.
+fn party_error(e: DistributedError) -> SortError {
+    match e {
+        DistributedError::ProofRejected { party } => SortError::ProofRejected { party },
+        _ => SortError::Internal("a party round failed"),
+    }
+}
+
+/// The in-process driver of the round code ([`crate::party`]): it steps
+/// every [`Party`] (and, in a framework session, the [`Initiator`])
+/// through the schedule and hands each message across directly.
 ///
 /// [`run_sort`] drives one machine to completion in a loop; the throughput
 /// runtime (`ppgr-runtime`) instead interleaves `step` calls from *many*
@@ -421,47 +380,52 @@ enum SortState {
 /// Granularity: one `step` call performs one protocol unit — all of key
 /// generation, all of bit encryption, or a single party's comparison batch
 /// / chain hop (the chain hops are ~89 % of the cost, so per-hop yields are
-/// what make cross-session pipelining effective). Every random draw happens
-/// inside `step` in the exact order the serial protocol would draw it, so a
-/// session's transcript and ranks are bit-identical no matter how its steps
-/// are interleaved with other sessions'.
+/// what make cross-session pipelining effective). Every party draws only
+/// from its own streams, so a session's transcript and ranks are
+/// bit-identical no matter how its steps are interleaved with other
+/// sessions' — and identical to the same parties run over the mesh.
+///
+/// Shortcuts over the plain rounds, all consuming the same stream values:
+/// a keygen-tier stock arrives minted (keys, proofs, joint-key table,
+/// prepared hop scalars), its proofs possibly verified at minting time; a
+/// [`SortOptions::defer_verify`] run hands the proof check to the driver;
+/// the joint-key table is derived once for all parties; hops fan out
+/// across worker threads and reuse one pooled buffer.
 #[derive(Debug)]
 pub struct SortMachine {
-    // Fixed configuration.
     group: Group,
-    scheme: ExpElGamal,
     values: Vec<BigUint>,
     l: usize,
     options: SortOptions,
     n: usize,
-    workers: usize,
-    ct_len: usize,
-    elem_len: usize,
-    scalar_len: usize,
-    // Protocol state.
-    state: SortState,
-    round: u32,
-    keys: Vec<KeyPair>,
-    key_table: Option<ppgr_group::FixedBaseTable>,
-    encrypted_bits: Vec<Vec<Ciphertext>>,
-    sets: Vec<Vec<Ciphertext>>,
-    opponent_order: Vec<Vec<usize>>,
+    plan: Vec<Step>,
+    /// The next step of `plan`.
+    next: usize,
+    round_base: u32,
+    pub(crate) initiator: Option<Initiator>,
+    pub(crate) parties: Vec<Party>,
+    /// Precomputed randomness, attached warm by a pool or generated cold at
+    /// the first step, then split among the parties.
+    pub(crate) stock: Option<OfflineStock>,
+    /// The stock's proofs passed every verifier's check at minting time.
+    verified: bool,
     /// Reusable hop output buffer (serial path): each hop writes the next
     /// version of a set here, then swaps it with the live set, so the
     /// chain's dominant loop reuses two buffers per set instead of
     /// allocating and cloning fresh vectors every hop.
     hop_scratch: Vec<Ciphertext>,
-    /// Precomputed randomness, attached warm by a pool or drawn cold at the
-    /// offline step; consumed front-to-back in protocol order.
-    stock: Option<OfflineStock>,
     /// The keygen proof check stashed by a `defer_verify` run, awaiting
     /// collection via [`SortMachine::take_pending_verify`].
     pending_verify: Option<KeygenVerifyJob>,
+    /// Where every message the parties emit is recorded, if anywhere.
+    pub(crate) tap: Option<(Codec, Transcript)>,
     result: Option<(SortOutcome, SortTrace)>,
 }
 
 impl SortMachine {
-    /// Validates the inputs and prepares a machine at step 5.
+    /// Validates the inputs and prepares a machine at its offline step.
+    /// The parties are seated at the first [`SortMachine::step`], from a
+    /// seed drawn from its `rng`.
     ///
     /// # Errors
     ///
@@ -483,33 +447,45 @@ impl SortMachine {
             }
         }
         Ok(SortMachine {
-            scheme: ExpElGamal::new(group.clone()),
-            ct_len: Ciphertext::encoded_len(group),
-            elem_len: group.element_len(),
-            scalar_len: group.order().bits().div_ceil(8),
             group: group.clone(),
             values: values.to_vec(),
             l,
             options,
             n,
-            workers: resolve_threads(options.threads),
-            state: SortState::Offline,
-            round: round_base,
-            keys: Vec::new(),
-            key_table: None,
-            encrypted_bits: Vec::new(),
-            sets: Vec::new(),
-            opponent_order: Vec::new(),
-            hop_scratch: Vec::new(),
+            plan: plan(n, false),
+            next: 0,
+            round_base,
+            initiator: None,
+            parties: Vec::new(),
             stock: None,
+            verified: false,
+            hop_scratch: Vec::new(),
             pending_verify: None,
+            tap: None,
             result: None,
         })
     }
 
+    /// A machine over a framework session's seated parties (values still
+    /// to come from the gain rounds) and its initiator.
+    pub(crate) fn session(
+        group: &Group,
+        initiator: Initiator,
+        parties: Vec<Party>,
+        l: usize,
+        options: SortOptions,
+    ) -> Result<Self, SortError> {
+        let n = parties.len();
+        let mut machine = Self::new(group, &vec![BigUint::zero(); n], l, options, 2)?;
+        machine.plan = plan(n, true);
+        machine.initiator = Some(initiator);
+        machine.parties = parties;
+        Ok(machine)
+    }
+
     /// Attaches a pool-generated [`OfflineStock`] before the machine's
     /// offline step runs, so the step finds its randomness ready instead of
-    /// drawing it cold.
+    /// generating it cold.
     ///
     /// # Errors
     ///
@@ -528,7 +504,8 @@ impl SortMachine {
                 });
             }
         }
-        if self.state != SortState::Offline || self.stock.is_some() {
+        let handed_out = self.plan[..self.next].iter().any(Vec::is_empty);
+        if handed_out || self.stock.is_some() {
             return Err(SortError::Internal(
                 "offline stock attached after the offline step",
             ));
@@ -573,7 +550,14 @@ impl SortMachine {
 
     /// Whether the protocol has completed.
     pub fn is_done(&self) -> bool {
-        self.state == SortState::Done
+        self.result.is_some()
+    }
+
+    /// The phase of the next step's first round (`None` once done, or
+    /// before the offline hand-out).
+    pub(crate) fn next_phase(&self) -> Option<Phase> {
+        let step = self.plan.get(self.next)?;
+        step.first().map(|(round, _)| round.phase())
     }
 
     /// The outcome and trace, once [`SortMachine::step`] has returned
@@ -585,515 +569,205 @@ impl SortMachine {
 
     /// Executes the next protocol unit.
     ///
-    /// All randomness is drawn from `rng` inside this call, in serial
-    /// protocol order; wire traffic is logged to `log` and per-party
-    /// computation charged to `timer`.
+    /// The first call seats the parties. Their streams fork from a DRBG
+    /// seeded with 32 bytes drawn from `rng`: party `j` draws online from
+    /// its `party-j` fork, and a cold stock comes from the `offline` fork.
+    /// Wire traffic is logged to `log` and per-party computation charged
+    /// to `timer`.
     ///
     /// # Errors
     ///
     /// [`SortError::ProofRejected`] if a proof of key knowledge fails
-    /// (reachable only via dishonest provers in the game harness).
+    /// (reachable only via a corrupted stock in test harnesses).
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         log: &TrafficLog,
         timer: &mut PartyTimer,
     ) -> Result<SortStatus, SortError> {
-        match self.state {
-            SortState::Offline => {
-                // Cold fallback: no pool attached a stock, so draw and mint
-                // the whole keygen tier from the protocol stream here, on
-                // the session clock. Warm machines skip this entirely.
-                // Offline work is charged to nobody's per-party ledger —
-                // that is the point of the split.
-                if self.stock.is_none() {
-                    // A defer-verify run must not pay for minting-time proof
-                    // verification here either — the check belongs to the
-                    // cross-session batch. The deferred draw skips only the
-                    // verdict; the stock bytes are identical.
-                    self.stock = Some(if self.options.defer_verify {
-                        OfflineStock::draw_from_deferred(&self.group, self.n, self.l, rng)
-                    } else {
-                        OfflineStock::draw_from(&self.group, self.n, self.l, rng)
-                    });
-                }
-                self.state = SortState::KeyGen;
-                Ok(SortStatus::Pending)
+        if self.parties.is_empty() {
+            let mut seed = [0u8; 32];
+            rng.fill_bytes(&mut seed);
+            let base = HashDrbg::from_seed(seed);
+            for (j, value) in (1..=self.n).zip(&self.values) {
+                let rng = party_stream(&base, j);
+                let mut party = Party::new(&self.group, j, self.n, self.l, self.options, rng);
+                party.value = value.clone();
+                self.parties.push(party);
             }
-            SortState::KeyGen => {
-                self.step_keygen(log, timer)?;
-                self.state = SortState::Encrypt;
-                Ok(SortStatus::Pending)
+            if self.stock.is_none() {
+                let (kind, deferred) = (self.group.kind(), self.options.defer_verify);
+                let stock = OfflineStock::generate_from(&base, kind, self.n, self.l, deferred);
+                self.stock = Some(stock);
             }
-            SortState::Encrypt => {
-                self.step_encrypt(log, timer)?;
-                self.state = SortState::Compare { idx: 0 };
-                Ok(SortStatus::Pending)
-            }
-            SortState::Compare { idx } => {
-                self.step_compare(idx, log, timer)?;
-                self.state = if idx + 1 < self.n {
-                    SortState::Compare { idx: idx + 1 }
-                } else {
-                    self.round += 1;
-                    SortState::Hop { idx: 0 }
-                };
-                Ok(SortStatus::Pending)
-            }
-            SortState::Hop { idx } => {
-                self.step_hop(idx, rng, log, timer)?;
-                self.state = if idx + 1 < self.n {
-                    SortState::Hop { idx: idx + 1 }
-                } else {
-                    SortState::Finish
-                };
-                Ok(SortStatus::Pending)
-            }
-            SortState::Finish => {
-                self.step_finish(log, timer);
-                self.state = SortState::Done;
-                Ok(SortStatus::Done)
-            }
-            SortState::Done => Ok(SortStatus::Done),
         }
+        self.advance(log, timer)
     }
 
-    /// Step 5: key generation + proofs of knowledge, fed entirely from the
-    /// offline stock.
-    ///
-    /// Keys are party randomness, not inputs, so the stock carries them:
-    /// a keygen-tier stock hands over minted key pairs, assembled proofs
-    /// and the prepared joint-key table, leaving online only the share
-    /// exchange and proof verification; a masks-tier stock hands over the
-    /// raw seeds and the minting runs here, on the clock. Both paths
-    /// produce byte-identical transcripts.
-    ///
-    /// Verification is batched per verifier: each party collapses her n−1
-    /// foreign checks into one aggregate multi-exponentiation
-    /// ([`ppgr_zkp::verify_multi_batch`]); on rejection a per-prover rescan
-    /// in protocol order reproduces exactly the attribution the old
-    /// verify-as-you-go loop gave.
-    fn step_keygen(&mut self, log: &TrafficLog, timer: &mut PartyTimer) -> Result<(), SortError> {
-        let n = self.n;
-        let material = self
-            .stock
-            .as_mut()
-            .and_then(OfflineStock::take_keys)
-            .ok_or(SortError::Internal("offline key stock exhausted"))?;
-        let (keys, proofs, pre_verified) = match material {
-            KeyMaterial::Minted {
-                pairs,
-                proofs,
-                joint: _,
-                table,
-                verified,
-            } => {
-                // Fully warm: the shares, proofs and the joint-key comb
-                // table were minted offline; nothing here exponentiates.
-                // A stock whose proofs were already batch-verified at
-                // minting time carries the verdict, so the online round
-                // below is skipped too.
-                self.key_table = Some(table);
-                (pairs, proofs, verified)
-            }
-            KeyMaterial::Seeds {
-                secrets,
-                nonces,
-                challenges,
-            } => {
-                // Masks tier / cold-adjacent: mint from the stocked seeds
-                // on the clock, charged to each party.
-                let keys: Vec<KeyPair> = secrets
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, s)| {
-                        timer.time(idx + 1, || {
-                            KeyPair::from_secret(&self.group, s.expose().clone())
-                        })
-                    })
-                    .collect();
-                let proofs: Vec<MultiVerifierTranscript> = keys
-                    .iter()
-                    .zip(nonces)
-                    .zip(challenges)
-                    .enumerate()
-                    .map(|(idx, ((kp, nonce), chals))| {
-                        timer.time(idx + 1, || {
-                            MultiVerifierProof::assemble(&self.group, kp.secret_key(), nonce, chals)
-                        })
-                    })
-                    .collect();
-                (keys, proofs, false)
-            }
-        };
-        for party in 1..=n {
-            // Publish y_j.
-            for other in 1..=n {
-                if other != party {
-                    log.record(self.round, party, other, self.elem_len, "sort/keys");
-                }
-            }
-        }
-        self.round += 1;
-        for party in 1..=n {
-            // Commitment broadcast, n−1 challenge shares, response broadcast.
-            for other in 1..=n {
-                if other != party {
-                    log.record(self.round, party, other, self.elem_len, "sort/zkp");
-                    log.record(self.round + 1, other, party, self.scalar_len, "sort/zkp");
-                    log.record(self.round + 2, party, other, self.scalar_len, "sort/zkp");
-                }
-            }
-        }
-        // Skipped when the stock already ran every verifier's batch check
-        // at minting time (the proofs are offline material, so verifying
-        // them is offline work — see `KeyMaterial::Minted::verified`).
-        if !pre_verified && self.options.defer_verify {
-            // Deferred: hand the statements and proofs to the driver as a
-            // job for a cross-session batch instead of checking them here.
-            // Nothing is charged to any party's ledger — like the offline
-            // split, moving the check off the session clock is the point —
-            // and no bytes move, so the transcript is unchanged. Checking
-            // each proof once (what the job does) is equivalent to the
-            // per-verifier loop below: every verifier checks the same
-            // foreign transcripts against the same keys.
-            self.pending_verify = Some(KeygenVerifyJob {
-                group: self.group.clone(),
-                statements: keys.iter().map(|k| k.public_key().clone()).collect(),
-                proofs,
-            });
-        } else {
-            for vidx in 0..n {
-                if pre_verified {
-                    break;
-                }
-                let foreign: Vec<(&Element, &MultiVerifierTranscript)> = (0..n)
-                    .filter(|&p| p != vidx)
-                    .map(|p| (keys[p].public_key(), &proofs[p]))
-                    .collect();
-                let ok = timer.time(vidx + 1, || {
-                    verify_multi_batch(&self.group, &foreign).is_ok()
-                });
-                if !ok {
-                    // Rescan over *all* provers in protocol order so the
-                    // error names the first dishonest one, exactly as the
-                    // old verify-as-you-go loop did (a verifier's own batch
-                    // skips her own proof, so the batch index alone is not
-                    // enough).
-                    let party = (0..n)
-                        .find(|&p| !proofs[p].verify(&self.group, keys[p].public_key()))
-                        .map_or(vidx + 1, |p| p + 1);
-                    return Err(SortError::ProofRejected { party });
-                }
-            }
-        }
-        self.round += 3;
-        self.keys = keys;
-        Ok(())
-    }
-
-    /// Step 6: bitwise encryption under the joint key, published to all.
-    ///
-    /// A keygen-tier stock delivered the joint key's prepared comb table
-    /// (and every mask's `y^r` half) at the keygen step, so nothing here
-    /// exponentiates beyond one group operation per set bit; otherwise the
-    /// table is derived now and the `y^r` batch runs online through it.
-    fn step_encrypt(&mut self, log: &TrafficLog, timer: &mut PartyTimer) -> Result<(), SortError> {
-        let n = self.n;
-        let key_table = match self.key_table.take() {
-            Some(table) => table,
-            None => {
-                let shares: Vec<_> = self.keys.iter().map(|k| k.public_key().clone()).collect();
-                let joint = JointKey::combine(&self.group, &shares);
-                // The fixed-base table for the joint key `y` is public
-                // precomputation: every party derives it from the published
-                // key shares, so its (small, amortized) cost is not charged
-                // to any single party's ledger.
-                self.scheme.prepare_key(joint.public_key())
-            }
-        };
-        let mut stock = self
-            .stock
-            .take()
-            .ok_or(SortError::Internal("no offline stock at encrypt"))?;
-        self.encrypted_bits = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| {
-                let party = idx + 1;
-                let row = stock
-                    .take_enc_row()
-                    .ok_or(SortError::Internal("offline encryption stock exhausted"))?;
-                let cts = timer.time(party, || {
-                    encrypt_bits_with_precomputed(&self.scheme, &key_table, v, self.l, row)
-                });
-                for other in 1..=n {
-                    if other != party {
-                        log.record(self.round, party, other, self.l * self.ct_len, "sort/bits");
-                    }
-                }
-                Ok(cts)
-            })
-            .collect::<Result<_, SortError>>()?;
-        self.stock = Some(stock);
-        self.round += 1;
-        self.key_table = Some(key_table);
-        Ok(())
-    }
-
-    /// Step 7 for one party: she compares her plaintext value against every
-    /// other party's encrypted bits; her set is the concatenation in
-    /// `opponent_order`. The n−1 comparisons are independent and consume no
-    /// randomness, so they may fan out across worker threads.
-    ///
-    /// Before the set leaves her hands she re-randomizes every ciphertext
-    /// with a stocked `(g^s, y^s)` pair. The raw τ set is a *deterministic*
-    /// homomorphic combination of the published bit encryptions, keyed only
-    /// by her `l`-bit plaintext — anyone who sees it before its first chain
-    /// randomization (P₁ on collection, the next hop for P₁'s own set)
-    /// could confirm a guess of her value by recomputing the combination.
-    /// Re-randomization makes the set's bytes independent of everything
-    /// published, closing that hole; the plaintexts (and so the ranks and
-    /// zero counts) are untouched.
-    fn step_compare(
+    /// [`SortMachine::step`] for seated parties: runs the next step of the
+    /// plan, and assembles the result after the last.
+    pub(crate) fn advance(
         &mut self,
-        idx: usize,
         log: &TrafficLog,
         timer: &mut PartyTimer,
-    ) -> Result<(), SortError> {
-        let party = idx + 1;
-        let opponents: Vec<usize> = (0..self.n).filter(|&i| i != idx).collect();
-        let value = &self.values[idx];
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let start = Instant::now();
-        let (chunks, cpu) = parallel_map(&opponents, self.workers, |&opp| {
-            compare_encrypted(&self.scheme, value, &self.encrypted_bits[opp], self.l)
-        });
-        timer.record(party, start.elapsed(), cpu);
-        let raw: Vec<Ciphertext> = chunks.into_iter().flatten().collect();
-        let row = self
-            .stock
-            .as_mut()
-            .and_then(OfflineStock::take_compare_row)
-            .ok_or(SortError::Internal("offline compare stock exhausted"))?;
-        if row.len() != raw.len() {
-            return Err(SortError::Internal("offline compare stock shape mismatch"));
-        }
-        let key_table = self
-            .key_table
-            .as_ref()
-            .ok_or(SortError::Internal("no key table at compare"))?;
-        let set = timer.time(party, || {
-            self.scheme
-                .rerandomize_batch_with_precomputed(key_table, &raw, row)
-        });
-        if party != 1 {
-            log.record(
-                self.round,
-                party,
-                1,
-                set.len() * self.ct_len,
-                "sort/collect",
-            );
-        }
-        self.sets.push(set);
-        self.opponent_order.push(opponents);
-        Ok(())
-    }
-
-    /// Step 8 for one party: her hop of the shuffle-decrypt chain
-    /// P₁ → P₂ → … → P_n. Within the hop the n−1 foreign sets are
-    /// independent; the plaintext randomizers come from the offline stock
-    /// and the shuffle permutations are pre-drawn in the serial order, so
-    /// the transcript is identical for any thread count, then the
-    /// exponentiations run batched — the fused decrypt-and-randomize hop
-    /// costs ~1.7 exponentiations per ciphertext instead of 3, and the
-    /// shuffle is fused into result placement so no permutation pass (or
-    /// its per-ciphertext clones) remains.
-    fn step_hop<R: Rng + ?Sized>(
-        &mut self,
-        idx: usize,
-        rng: &mut R,
-        log: &TrafficLog,
-        timer: &mut PartyTimer,
-    ) -> Result<(), SortError> {
-        let party = idx + 1;
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let start = Instant::now();
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let draw_start = Instant::now();
-        let mut stock = self
-            .stock
-            .take()
-            .ok_or(SortError::Internal("no offline stock at hop"))?;
-        // (owner, randomizers, shuffle permutation) per foreign set. The
-        // stock always holds a randomizer set per (hop, foreign set) —
-        // its shape is options-independent — so a non-randomizing run
-        // simply leaves them unconsumed.
-        let jobs: Vec<(usize, HopSet, Option<Vec<usize>>)> = self
-            .sets
-            .iter()
-            .enumerate()
-            .filter(|&(owner, _)| owner != idx) // never her own set
-            .map(|(owner, set)| {
-                let rs: HopSet = if self.options.randomize {
-                    let rs = stock
-                        .take_hop_set()
-                        .ok_or(SortError::Internal("offline hop stock exhausted"))?;
-                    if rs.len() != set.len() {
-                        return Err(SortError::Internal("offline hop stock shape mismatch"));
-                    }
-                    rs
-                } else {
-                    HopSet::Raw(Vec::new())
-                };
-                // A permutation shuffled with the same draws the in-place
-                // `shuffle` would consume (Fisher–Yates swaps depend only
-                // on the length), fused into result placement below.
-                let perm = self.options.shuffle.then(|| {
-                    let mut p: Vec<usize> = (0..set.len()).collect();
-                    p.shuffle(rng);
-                    p
-                });
-                Ok((owner, rs, perm))
-            })
-            .collect::<Result<_, SortError>>()?;
-        self.stock = Some(stock);
-        let draw_cpu = draw_start.elapsed();
-        let Self {
-            sets,
-            hop_scratch,
-            scheme,
-            keys,
-            options,
-            workers,
-            ..
-        } = self;
-        let secret = keys[idx].secret_key();
-        let randomize = options.randomize;
-        if *workers == 1 {
-            // Serial fast path: reuse one scratch buffer for every hop of
-            // the whole chain — the output is written straight into its
-            // shuffled order and swapped with the live set.
-            for (owner, hop_set, perm) in &jobs {
-                let set = &sets[*owner];
-                match (randomize, hop_set) {
-                    // Keygen-tier stock: `−x·r` and the recodings came
-                    // precomputed; the stored secret products already bind
-                    // to this party's share (the keygen step installed the
-                    // same stock's key pairs).
-                    (true, HopSet::Prepared(prep)) => scheme
-                        .partial_decrypt_randomize_prepared_gather_into(
-                            set,
-                            prep,
-                            perm.as_deref(),
-                            hop_scratch,
-                        ),
-                    (true, HopSet::Raw(rs)) => scheme.partial_decrypt_randomize_gather_into(
-                        set,
-                        secret,
-                        rs,
-                        perm.as_deref(),
-                        hop_scratch,
-                    ),
-                    (false, _) => scheme.partial_decrypt_gather_into(
-                        set,
-                        secret,
-                        perm.as_deref(),
-                        hop_scratch,
-                    ),
-                }
-                std::mem::swap(&mut sets[*owner], hop_scratch);
+    ) -> Result<SortStatus, SortError> {
+        let Some(step) = self.plan.get(self.next).cloned() else {
+            return Ok(SortStatus::Done);
+        };
+        self.next += 1;
+        if step.is_empty() {
+            // Offline work is charged to nobody's per-party ledger — that
+            // is the point of the split.
+            let (slices, table, verified) = self
+                .stock
+                .take()
+                .ok_or(SortError::Internal("no offline stock at the offline step"))?
+                .into_parts();
+            if slices.len() != self.parties.len() {
+                return Err(SortError::Internal("offline stock shape mismatch"));
             }
-            // Single-threaded: wall time is the CPU time (draws included).
-            let elapsed = start.elapsed();
-            timer.record(party, elapsed, elapsed);
-        } else {
-            let (processed, cpu) = parallel_map(&jobs, *workers, |(owner, hop_set, perm)| {
-                let set = &sets[*owner];
-                let mut out = Vec::with_capacity(set.len());
-                match (randomize, hop_set) {
-                    (true, HopSet::Prepared(prep)) => scheme
-                        .partial_decrypt_randomize_prepared_gather_into(
-                            set,
-                            prep,
-                            perm.as_deref(),
-                            &mut out,
-                        ),
-                    (true, HopSet::Raw(rs)) => scheme.partial_decrypt_randomize_gather_into(
-                        set,
-                        secret,
-                        rs,
-                        perm.as_deref(),
-                        &mut out,
-                    ),
-                    (false, _) => {
-                        scheme.partial_decrypt_gather_into(set, secret, perm.as_deref(), &mut out)
-                    }
-                }
-                out
-            });
-            for ((owner, _, _), hopped) in jobs.iter().zip(processed) {
-                sets[*owner] = hopped;
+            for (party, slice) in self.parties.iter_mut().zip(slices) {
+                party.attach_stock(slice, table.clone());
             }
-            timer.record(party, start.elapsed(), draw_cpu + cpu);
+            self.verified = verified;
         }
-        // Hand the whole vector V to the next party in the chain.
-        if party < self.n {
-            let v_bytes: usize = self.sets.iter().map(|s| s.len() * self.ct_len).sum();
-            log.record(self.round, party, party + 1, v_bytes, "sort/chain");
-            self.round += 1;
+        for (round, from) in step {
+            self.run(round, from, log, timer)?;
         }
-        Ok(())
-    }
-
-    /// Return traffic + step 9: each owner strips her own layer and counts
-    /// zeros, then the result and trace are assembled (moving, not cloning,
-    /// the protocol state).
-    fn step_finish(&mut self, log: &TrafficLog, timer: &mut PartyTimer) {
-        let n = self.n;
-        // P_n returns each set to its owner.
-        for (owner, set) in self.sets.iter().enumerate() {
-            let party = owner + 1;
-            if party != n {
-                log.record(self.round, n, party, set.len() * self.ct_len, "sort/return");
-            }
-        }
-        self.round += 1;
-
-        let mut ranks = Vec::with_capacity(n);
-        for idx in 0..n {
-            let party = idx + 1;
-            // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-            let start = Instant::now();
-            let secret = self.keys[idx].secret_key();
-            // One gathered partial decryption strips the owner's layer from
-            // the whole set — the key share's digit recoding is done once
-            // and the masks share a single inversion — then the zero test
-            // is an identity check on each exposed `α·β^{−x}`. This is
-            // RNG-free and wire-free, so the transcript is unchanged.
-            self.scheme.partial_decrypt_gather_into(
-                &self.sets[idx],
-                secret,
-                None,
-                &mut self.hop_scratch,
-            );
-            let zeros = self
-                .hop_scratch
-                .iter()
-                .filter(|ct| self.group.is_identity(&ct.alpha))
-                .count();
-            let elapsed = start.elapsed();
-            timer.record(party, elapsed, elapsed);
-            ranks.push(zeros + 1);
+        if self.next < self.plan.len() {
+            return Ok(SortStatus::Pending);
         }
         let trace = SortTrace {
-            keys: std::mem::take(&mut self.keys),
-            returned_sets: std::mem::take(&mut self.sets),
-            opponent_order: std::mem::take(&mut self.opponent_order),
+            keys: self
+                .parties
+                .iter()
+                .filter_map(|p| p.key_pair().cloned())
+                .collect(),
+            returned_sets: self
+                .parties
+                .iter_mut()
+                .map(|p| std::mem::take(&mut p.own))
+                .collect(),
+            opponent_order: (0..self.n)
+                .map(|idx| (0..self.n).filter(|&o| o != idx).collect())
+                .collect(),
         };
+        let ranks = self.parties.iter().map(|p| p.rank).collect();
         self.result = Some((SortOutcome { ranks }, trace));
+        Ok(SortStatus::Done)
+    }
+
+    /// Runs `from`'s part of `round`: the sender computes, and each
+    /// message it emits is logged and handed to its receivers.
+    ///
+    /// Two rounds take the in-process shortcuts first. [`Round::Verify`]
+    /// is skipped when the stock's proofs were verified at minting time,
+    /// and handed to the driver as one [`KeygenVerifyJob`] under
+    /// [`SortOptions::defer_verify`] — checking each proof once is
+    /// equivalent to every verifier's check, and it moves no bytes. Before
+    /// [`Round::Bits`], the joint key's table — public precomputation
+    /// every party derives from the published shares — is derived once,
+    /// uncharged, and shared (a keygen-tier stock carried it).
+    fn run(
+        &mut self,
+        round: Round,
+        from: usize,
+        log: &TrafficLog,
+        timer: &mut PartyTimer,
+    ) -> Result<(), SortError> {
+        match round {
+            Round::Verify if self.verified => return Ok(()),
+            Round::Verify if self.options.defer_verify => {
+                let first = &self.parties[0];
+                if from == 1 {
+                    self.pending_verify = Some(KeygenVerifyJob {
+                        group: self.group.clone(),
+                        statements: first.keys.clone(),
+                        proofs: first.proofs.iter().flatten().cloned().collect(),
+                    });
+                }
+                return Ok(());
+            }
+            Round::Bits if from == 1 => {
+                let table = self.parties[0].key_table().clone();
+                for party in &mut self.parties[1..] {
+                    party.share_key_table(&table);
+                }
+            }
+            _ => {}
+        }
+        let node: &mut dyn Node = match from {
+            0 => self
+                .initiator
+                .as_mut()
+                .ok_or(SortError::Internal("no initiator"))?,
+            j => &mut self.parties[j - 1],
+        };
+        let tap = self.tap.as_ref().map(|(c, t)| (c, t));
+        let outbox =
+            emit(node, from, round, timer, &mut self.hop_scratch, tap).map_err(party_error)?;
+        for (to, msg) in outbox {
+            self.log_message(log, round, from, &to, &msg);
+            // Broadcasts hand each receiver a copy; the last takes the
+            // message itself (a chain vector is never copied).
+            let Some((&last, rest)) = to.split_last() else {
+                continue;
+            };
+            for &j in rest {
+                self.deliver(j, round, from, msg.clone(), timer)?;
+            }
+            self.deliver(last, round, from, msg, timer)?;
+        }
+        Ok(())
+    }
+
+    fn deliver(
+        &mut self,
+        to: usize,
+        round: Round,
+        from: usize,
+        msg: Msg,
+        timer: &mut PartyTimer,
+    ) -> Result<(), SortError> {
+        let node: Option<&mut dyn Node> = match to {
+            0 => self.initiator.as_mut().map(|i| i as &mut dyn Node),
+            j => self.parties.get_mut(j - 1).map(|p| p as &mut dyn Node),
+        };
+        node.ok_or(SortError::Internal("no such party"))?
+            .receive(round, from, msg, timer)
+            .map_err(party_error)
+    }
+
+    /// Logs `msg` from `from` to each of `to` with the paper's round
+    /// numbering (`round_base` = the first sort round; every prover's
+    /// proof runs in the same three rounds) and phase labels, counting
+    /// element bytes only. Submissions are logged by the initiator's check.
+    fn log_message(&self, log: &TrafficLog, round: Round, from: usize, to: &[usize], msg: &Msg) {
+        let (b, group) = (self.round_base, &self.group);
+        let (elem, scalar) = (group.element_len(), group.order().bits().div_ceil(8));
+        let set = |s: &[Ciphertext]| s.len() * Ciphertext::encoded_len(group);
+        let (r, label, bytes) = match (round, msg) {
+            (Round::GainRequest(_), Msg::GainRequest(m)) => {
+                (0, "gain", m.element_count() * FIELD_BYTES)
+            }
+            (Round::GainReply(_), _) => (1, "gain", 2 * FIELD_BYTES),
+            (Round::KeyShares, _) => (b, "sort/keys", elem),
+            (Round::Commit(_), _) => (b + 1, "sort/zkp", elem),
+            (Round::Challenge(_), _) => (b + 2, "sort/zkp", scalar),
+            (Round::Respond(_), _) => (b + 3, "sort/zkp", scalar),
+            (Round::Bits, Msg::Set(s)) => (b + 4, "sort/bits", set(s)),
+            (Round::Collect, Msg::Set(s)) => (b + 5, "sort/collect", set(s)),
+            (Round::Hop(i), Msg::Chain(v)) => (
+                b + 5 + i as u32,
+                "sort/chain",
+                v.iter().map(|s| set(s)).sum(),
+            ),
+            (Round::Hop(i), Msg::Set(s)) => (b + 5 + i as u32, "sort/return", set(s)),
+            _ => return,
+        };
+        for &to in to {
+            log.record(r, from, to, bytes, label);
+        }
     }
 }
 
@@ -1108,6 +782,7 @@ pub fn plain_ranks(values: &[BigUint]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::offline::StockFingerprint;
     use ppgr_group::GroupKind;
     use ppgr_net::TrafficSummary;
     use rand::rngs::StdRng;
@@ -1339,7 +1014,6 @@ mod tests {
         let values: Vec<BigUint> = [9u64, 2, 5].iter().map(|&v| BigUint::from(v)).collect();
         let run = |defer: bool| {
             let mut rng = StdRng::seed_from_u64(8);
-            let mut stock_rng = StdRng::seed_from_u64(77);
             let log = TrafficLog::new();
             let mut timer = PartyTimer::new(values.len() + 1);
             let options = SortOptions {
@@ -1348,7 +1022,8 @@ mod tests {
                 ..SortOptions::default()
             };
             let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
-            let mut stock = OfflineStock::draw_from(&group, 3, 4, &mut stock_rng);
+            let mut stock =
+                OfflineStock::generate(StockFingerprint::new(77, 3, 4, GroupKind::Ecc160));
             stock.corrupt_key_proof(&group, 1);
             machine.attach_offline_stock(stock).unwrap();
             let mut job = None;
@@ -1389,7 +1064,6 @@ mod tests {
         let values: Vec<BigUint> = [9u64, 2, 5].iter().map(|&v| BigUint::from(v)).collect();
         let job_for = |seed: u64, corrupt: Option<usize>| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut stock_rng = StdRng::seed_from_u64(seed ^ 0xa5);
             let log = TrafficLog::new();
             let mut timer = PartyTimer::new(values.len() + 1);
             let options = SortOptions {
@@ -1399,10 +1073,15 @@ mod tests {
             };
             let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
             // The deferred draw leaves the stock's `verified` verdict unset
-            // (a `draw_from` stock is batch-checked at minting time and
+            // (a `generate` stock is batch-checked at minting time and
             // would make the session skip verification entirely, parking no
             // job). Bytes are identical either way.
-            let mut stock = OfflineStock::draw_from_deferred(&group, 3, 4, &mut stock_rng);
+            let mut stock = OfflineStock::generate_deferred(StockFingerprint::new(
+                seed ^ 0xa5,
+                3,
+                4,
+                GroupKind::Ecc160,
+            ));
             if let Some(party) = corrupt {
                 stock.corrupt_key_proof(&group, party);
             }

@@ -71,21 +71,6 @@ impl VerificationReport {
     }
 }
 
-/// Honest phase-3 behaviour: parties with `rank ≤ k` submit.
-pub fn honest_submissions(infos: &[InfoVector], ranks: &[usize], k: usize) -> Vec<Submission> {
-    infos
-        .iter()
-        .zip(ranks)
-        .enumerate()
-        .filter(|(_, (_, &rank))| rank <= k)
-        .map(|(idx, (info, &rank))| Submission {
-            party: idx + 1,
-            claimed_rank: rank,
-            info: info.clone(),
-        })
-        .collect()
-}
-
 /// The initiator's verification: recompute gains, check rank/gain
 /// consistency (ties in gain may share a rank; distinct gains must not).
 pub fn verify_submissions(
@@ -157,6 +142,21 @@ pub fn verify_submissions(
 mod tests {
     use super::*;
     use crate::attrs::{AttributeKind, CriterionVector, Questionnaire, WeightVector};
+
+    /// Honest phase-3 behaviour: parties with `rank ≤ k` submit.
+    fn honest_submissions(infos: &[InfoVector], ranks: &[usize], k: usize) -> Vec<Submission> {
+        infos
+            .iter()
+            .zip(ranks)
+            .enumerate()
+            .filter(|(_, (_, &rank))| rank <= k)
+            .map(|(idx, (info, &rank))| Submission {
+                party: idx + 1,
+                claimed_rank: rank,
+                info: info.clone(),
+            })
+            .collect()
+    }
 
     fn setup() -> (Questionnaire, InitiatorProfile, Vec<InfoVector>) {
         let q = Questionnaire::builder()

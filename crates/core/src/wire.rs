@@ -293,7 +293,7 @@ impl Writer {
     }
 
     /// Appends raw bytes with no length prefix (fixed-width payloads such
-    /// as the keygen echo digests; the reader must know the width).
+    /// as the keygen echo digests, which receivers compare byte for byte).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.put_slice(bytes);
     }
@@ -399,13 +399,6 @@ impl Reader {
     pub fn u64(&mut self) -> Result<u64, WireError> {
         self.need(8, "truncated u64")?;
         Ok(self.buf.get_u64())
-    }
-
-    /// Reads exactly `n` raw bytes (fixed-width payloads written with
-    /// [`Writer::put_raw`]).
-    pub fn take(&mut self, n: usize) -> Result<Bytes, WireError> {
-        self.need(n, "truncated raw bytes")?;
-        Ok(self.buf.copy_to_bytes(n))
     }
 
     /// Bytes not yet consumed.
@@ -584,14 +577,14 @@ mod tests {
     }
 
     #[test]
-    fn raw_bytes_round_trip() {
-        let mut w = Writer::new();
+    fn raw_bytes_are_written_verbatim() {
+        let mut w = Writer::framed();
         w.put_raw(&[7; 32]);
         w.put_raw(&[8; 32]);
-        let mut r = Reader::new(w.finish());
-        assert_eq!(r.take(32).unwrap(), Bytes::from(vec![7u8; 32]));
-        assert_eq!(r.take(32).unwrap(), Bytes::from(vec![8u8; 32]));
-        assert!(r.take(1).is_err());
-        r.done().unwrap();
+        let Frame::Data(payload) = parse_frame(&w.finish()).unwrap() else {
+            panic!("expected data frame");
+        };
+        assert_eq!(&payload[..32], &[7u8; 32][..]);
+        assert_eq!(&payload[32..], &[8u8; 32][..]);
     }
 }

@@ -527,7 +527,9 @@ impl ExpElGamal {
     /// Gathered batch [`ExpElGamal::partial_decrypt_randomize`] writing into
     /// a caller-provided buffer: `out[j]` is the fused hop applied to
     /// `cts[order[j]]` with randomizer `rs[order[j]]` (`order = None` keeps
-    /// input order).
+    /// input order). `order` may also select a subset of the positions —
+    /// one chunk of a permutation — so a caller can bound each call's
+    /// scratch without changing any output.
     ///
     /// This is the allocation-lean form of the chain hop: the shuffle
     /// permutation is fused into the *placement* of each result, so the
@@ -539,8 +541,8 @@ impl ExpElGamal {
     ///
     /// # Panics
     ///
-    /// Panics if `rs` (or `order`, when given) is not the same length as
-    /// `cts`.
+    /// Panics if `rs` is not the same length as `cts`, or `order` names a
+    /// position outside `cts`.
     pub fn partial_decrypt_randomize_gather_into(
         &self,
         cts: &[Ciphertext],
@@ -551,10 +553,11 @@ impl ExpElGamal {
     ) {
         assert_eq!(cts.len(), rs.len(), "one randomizer per ciphertext");
         if let Some(o) = order {
-            assert_eq!(o.len(), cts.len(), "one output slot per ciphertext");
+            assert!(o.iter().all(|&i| i < cts.len()), "order indexes cts");
         }
+        let len = order.map_or(cts.len(), <[usize]>::len);
         let idx = |j: usize| order.map_or(j, |o| o[j]);
-        let neg_xrs: Vec<Scalar> = (0..cts.len())
+        let neg_xrs: Vec<Scalar> = (0..len)
             .map(|j| {
                 self.group
                     .scalar_neg(&self.group.scalar_mul(secret_share, &rs[idx(j)]))
@@ -564,14 +567,14 @@ impl ExpElGamal {
         // recoding of `r` and the precomputed table of `β`, so the hop
         // costs one dual ladder plus one single ladder over *shared*
         // tables instead of a dual batch plus an unrelated single batch.
-        let items: Vec<(&Element, &Scalar, &Element, &Scalar)> = (0..cts.len())
+        let items: Vec<(&Element, &Scalar, &Element, &Scalar)> = (0..len)
             .map(|j| {
                 let i = idx(j);
                 (&cts[i].alpha, &rs[i], &cts[i].beta, &neg_xrs[j])
             })
             .collect();
         out.clear();
-        out.reserve(cts.len());
+        out.reserve(len);
         out.extend(
             self.group
                 .exp_hop_batch(&items)
@@ -587,12 +590,12 @@ impl ExpElGamal {
     /// so this call is nothing but the fused variable-base ladders.
     /// Results are element-for-element identical to the unprepared form
     /// called with the same randomizers and the secret share the
-    /// preparation was built from.
+    /// preparation was built from; `order` may select a subset as there.
     ///
     /// # Panics
     ///
-    /// Panics if `prep` (or `order`, when given) is not the same length as
-    /// `cts`.
+    /// Panics if `prep` is not the same length as `cts`, or `order` names
+    /// a position outside `cts`.
     pub fn partial_decrypt_randomize_prepared_gather_into(
         &self,
         cts: &[Ciphertext],
@@ -602,17 +605,18 @@ impl ExpElGamal {
     ) {
         assert_eq!(cts.len(), prep.len(), "one preparation per ciphertext");
         if let Some(o) = order {
-            assert_eq!(o.len(), cts.len(), "one output slot per ciphertext");
+            assert!(o.iter().all(|&i| i < cts.len()), "order indexes cts");
         }
+        let len = order.map_or(cts.len(), <[usize]>::len);
         let idx = |j: usize| order.map_or(j, |o| o[j]);
-        let items: Vec<(&Element, &HopScalars, &Element)> = (0..cts.len())
+        let items: Vec<(&Element, &HopScalars, &Element)> = (0..len)
             .map(|j| {
                 let i = idx(j);
                 (&cts[i].alpha, &prep[i], &cts[i].beta)
             })
             .collect();
         out.clear();
-        out.reserve(cts.len());
+        out.reserve(len);
         out.extend(
             self.group
                 .exp_hop_prepared_batch(&items)

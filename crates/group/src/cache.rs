@@ -21,11 +21,11 @@
 //! Values are handed out as `Arc<V>`, so an evicted table stays alive for
 //! whoever is still using it.
 
-use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{PoisonError, RwLock};
 
 struct Entry<K, V> {
     key: K,
@@ -113,7 +113,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     pub fn get_or_insert_with(&self, key: &K, build: impl FnOnce() -> V) -> Arc<V> {
         let shard = self.shard_for(key);
         {
-            let guard = shard.read();
+            let guard = shard.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(e) = guard.iter().find(|e| &e.key == key) {
                 // fetch_max, not store: two hits racing under the read lock
                 // can draw ticks in one order and write them in the other —
@@ -125,7 +125,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
                 return e.value.clone();
             }
         }
-        let mut guard = shard.write();
+        let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
         // Another thread may have inserted while we waited for the lock.
         if let Some(e) = guard.iter().find(|e| &e.key == key) {
             e.stamp.fetch_max(self.tick(), Ordering::Relaxed);
@@ -155,12 +155,19 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
 
     /// Whether `key` is currently cached (does not bump recency).
     pub fn contains(&self, key: &K) -> bool {
-        self.shard_for(key).read().iter().any(|e| &e.key == key)
+        self.shard_for(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .any(|e| &e.key == key)
     }
 
     /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     /// Whether the cache is empty.

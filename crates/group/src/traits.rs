@@ -821,9 +821,27 @@ impl Group {
     ///
     /// Panics if the element belongs to the other group family.
     pub fn prepare_base(&self, base: &Element) -> FixedBaseTable {
+        self.table_for(base, true)
+    }
+
+    /// [`Group::prepare_base`] bypassing the per-group cache: the table is
+    /// built for this caller alone and freed with its last clone. Meant for
+    /// one-shot bases — a session's joint key, say — whose tables would
+    /// only churn the shared LRU.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element belongs to the other group family.
+    pub fn prepare_base_uncached(&self, base: &Element) -> FixedBaseTable {
+        self.table_for(base, false)
+    }
+
+    fn table_for(&self, base: &Element, cached: bool) -> FixedBaseTable {
         let inner = match (&self.inner, base) {
-            (GroupImpl::Dl(g), Element::Dl(a)) => TableImpl::Dl(g.comb_for(a)),
-            (GroupImpl::Ec(g), Element::Ec(p)) => TableImpl::Ec(g.comb_for(p)),
+            (GroupImpl::Dl(g), Element::Dl(a)) if cached => TableImpl::Dl(g.comb_for(a)),
+            (GroupImpl::Dl(g), Element::Dl(a)) => TableImpl::Dl(Arc::new(g.build_comb(a))),
+            (GroupImpl::Ec(g), Element::Ec(p)) if cached => TableImpl::Ec(g.comb_for(p)),
+            (GroupImpl::Ec(g), Element::Ec(p)) => TableImpl::Ec(Arc::new(g.build_comb(p))),
             // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
             _ => panic!(
                 "{}",

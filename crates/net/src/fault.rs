@@ -26,9 +26,9 @@
 
 use crate::deadline::{Deadline, Phase};
 use crate::mesh::{MeshError, PartyHandle};
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// How an injected crash manifests to the other parties.
@@ -406,11 +406,17 @@ impl<T> CrashStash<T> {
 
     /// Number of parked handles.
     pub fn parked(&self) -> usize {
-        self.parked.lock().len()
+        self.parked
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     fn park(&self, handle: PartyHandle<T>) {
-        self.parked.lock().push(handle);
+        self.parked
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(handle);
     }
 }
 

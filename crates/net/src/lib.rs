@@ -2,7 +2,7 @@
 //!
 //! Four layers, bottom-up:
 //!
-//! * [`LocalMesh`] — a crossbeam-channel mesh for running protocol parties
+//! * [`LocalMesh`] — a channel mesh (`std::sync::mpsc`) for running protocol parties
 //!   as real threads exchanging owned messages (used by examples and
 //!   integration tests that want genuine concurrency). Receives can be
 //!   bounded by a [`Deadline`] so a crashed peer cannot hang the session;

@@ -1,9 +1,9 @@
-//! A crossbeam-channel full mesh for thread-per-party executions.
+//! A channel full mesh (`std::sync::mpsc`) for thread-per-party executions.
 
 use crate::deadline::Deadline;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::error::Error;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// Error from mesh operations.
@@ -210,7 +210,7 @@ impl LocalMesh {
         for (i, tx_row) in txs.iter_mut().enumerate() {
             for (j, rx_row) in rxs.iter_mut().enumerate() {
                 if i != j {
-                    let (tx, rx) = unbounded();
+                    let (tx, rx) = channel();
                     tx_row.push(tx); // tx_row index: lane(j) for sender i
                     rx_row.push(rx); // rx_row index: lane(i) for receiver j
                 }

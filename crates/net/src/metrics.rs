@@ -1,8 +1,8 @@
 //! Traffic accounting shared by all protocol executions.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Party identifier: `0` is the initiator, `1..=n` are participants.
 pub type PartyId = usize;
@@ -38,6 +38,12 @@ impl TrafficLog {
         Self::default()
     }
 
+    /// The records, recovering from a poisoned lock: a panicking recorder
+    /// cannot leave a half-written record behind, so the log stays valid.
+    fn lock(&self) -> MutexGuard<'_, Vec<TrafficRecord>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one message.
     pub fn record(
         &self,
@@ -47,7 +53,7 @@ impl TrafficLog {
         bytes: usize,
         phase: &'static str,
     ) {
-        self.inner.lock().push(TrafficRecord {
+        self.lock().push(TrafficRecord {
             round,
             from,
             to,
@@ -58,17 +64,17 @@ impl TrafficLog {
 
     /// Snapshot of all records, in insertion order.
     pub fn records(&self) -> Vec<TrafficRecord> {
-        self.inner.lock().clone()
+        self.lock().clone()
     }
 
     /// Clears the log.
     pub fn clear(&self) {
-        self.inner.lock().clear();
+        self.lock().clear();
     }
 
     /// Aggregated view.
     pub fn summary(&self) -> TrafficSummary {
-        let records = self.inner.lock();
+        let records = self.lock();
         let mut by_party: BTreeMap<PartyId, u64> = BTreeMap::new();
         let mut by_phase: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut max_round = 0;

@@ -1,5 +1,5 @@
 //! Real concurrency: parties as OS threads exchanging *encoded* messages
-//! over the crossbeam mesh — a distributed-key round followed by a
+//! over the channel mesh — a distributed-key round followed by a
 //! joint-decryption chain, byte-faithful end to end.
 //!
 //! ```text

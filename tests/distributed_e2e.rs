@@ -74,9 +74,10 @@ fn gain_ties_break_arbitrarily_but_consistently_with_order() {
     // Equal gains receive different masks ρ_j, so the framework breaks
     // gain ties into an arbitrary strict order (explicitly allowed by the
     // paper, Sec. V: "If p_i = p_j, it does not matter if P_i ranks
-    // higher or lower"). The two runners may break the tie differently —
-    // but both must rank the strict winner first and give the tied pair
-    // ranks {2, 3} in some order.
+    // higher or lower"). Both drivers run the same per-party round code
+    // from the same per-party streams, so they must break the tie the
+    // same way: the strict winner first, the tied pair at {2, 3} in one
+    // order shared by both.
     let scores = [7u64, 7, 30];
     let (q, profile, infos) = scored_population(&scores);
     let p = params(q, scores.len(), 1, 9);
@@ -87,6 +88,7 @@ fn gain_ties_break_arbitrarily_but_consistently_with_order() {
         .run()
         .unwrap();
     let distributed = run_distributed(&p, profile, infos).unwrap();
+    assert_eq!(orchestrated.ranks(), &distributed.ranks[..]);
     for ranks in [orchestrated.ranks(), &distributed.ranks[..]] {
         assert_eq!(ranks[2], 1, "strict winner must be rank 1: {ranks:?}");
         let mut tied: Vec<usize> = vec![ranks[0], ranks[1]];
