@@ -5,7 +5,7 @@ use crate::gain::GainPhaseOutput;
 use crate::offline::{OfflineStock, StockFingerprint};
 use crate::params::FrameworkParams;
 use crate::party::{Codec, Initiator, Party, Transcript};
-use crate::sorting::{KeygenVerifyJob, SortError, SortMachine, SortOptions, SortStatus};
+use crate::sorting::{KeygenVerifyJob, Machine, SortError, SortOptions};
 use crate::submit::AcceptedSubmission;
 use crate::timing::PartyTimer;
 use ppgr_dotprod::default_field;
@@ -252,17 +252,16 @@ impl GroupRanking {
             .map(|(idx, info)| Party::for_session(&params, &field, idx + 1, info, sort_options))
             .collect();
         let group = params.group().group();
-        let sort = SortMachine::session(&group, initiator, parties, l, sort_options)?;
+        let base = HashDrbg::seed_from_u64(params.seed());
+        let machine = Machine::new(&group, base, parties, Some(initiator), l, sort_options, 2);
         Ok(SessionMachine {
             params,
             profile,
-            sort_options,
             log: self.log,
-            stocked: false,
             gain_timer,
             sort_timer: PartyTimer::new(n + 1),
             submit_timer: PartyTimer::new(n + 1),
-            sort,
+            machine,
             result: None,
         })
     }
@@ -281,28 +280,25 @@ pub enum SessionStatus {
 /// A resumable framework session: the in-process driver of the per-party
 /// round code ([`crate::party`]).
 ///
-/// One `step` call performs one unit of protocol work: the offline stock,
-/// the whole gain phase, one [`SortMachine`] step (the stock hand-out, key
-/// generation, bit encryption, a party's comparison batch, or a single
-/// chain hop), or the submission phase. Every party draws only from its
-/// own streams (seeded by the session seed), so however the steps are
-/// interleaved with *other* sessions' steps, the transcript and ranks are
-/// bit-identical to a solo [`GroupRanking::run`] with the same seed — and
-/// to the same session over the mesh ([`crate::run_distributed`]). Within
-/// a session the steps are strictly sequential, which is exactly the
-/// unlinkability requirement on the shuffle-decrypt chain.
+/// One `step` call performs one unit of protocol work, `2n + 7` in all:
+/// the offline stock, the whole gain phase, the stock hand-out, key
+/// generation, bit encryption, each party's comparison batch, each chain
+/// hop, the rank count, and the submission phase. Every party draws only
+/// from its own streams (seeded by the session seed), so however the steps
+/// are interleaved with *other* sessions' steps, the transcript and ranks
+/// are bit-identical to a solo [`GroupRanking::run`] with the same seed —
+/// and to the same session over the mesh ([`crate::run_distributed`]).
+/// Within a session the steps are strictly sequential, which is exactly
+/// the unlinkability requirement on the shuffle-decrypt chain.
 #[derive(Debug)]
 pub struct SessionMachine {
     params: FrameworkParams,
     profile: InitiatorProfile,
-    sort_options: SortOptions,
     log: TrafficLog,
-    /// Whether the offline step ran (the stock is attached to `sort`).
-    stocked: bool,
     gain_timer: PartyTimer,
     sort_timer: PartyTimer,
     submit_timer: PartyTimer,
-    sort: SortMachine,
+    machine: Machine,
     result: Option<Outcome>,
 }
 
@@ -334,42 +330,50 @@ impl SessionMachine {
     ///
     /// Returns `false` — leaving the session to generate cold, which
     /// produces bit-identical transcripts — if the offline step has
-    /// already run or the stock's fingerprint does not match
-    /// [`SessionMachine::offline_fingerprint`] exactly.
+    /// already run, a stock is already attached, or the stock's
+    /// fingerprint does not match [`SessionMachine::offline_fingerprint`]
+    /// exactly.
     pub fn attach_offline_stock(&mut self, stock: OfflineStock) -> bool {
-        !self.stocked
-            && stock.fingerprint() == Some(&self.offline_fingerprint())
-            && self.sort.attach_offline_stock(stock).is_ok()
+        stock.fingerprint() == Some(&self.offline_fingerprint()) && self.machine.attach(stock)
     }
 
     /// Takes the keygen proof check a
     /// [`defer_verify`](SortOptions::defer_verify) session stashed, if any.
     ///
-    /// Delegates to [`SortMachine::take_pending_verify`]: `Some` exactly
-    /// once, after the sort's keygen step ran deferred. The caller must
-    /// settle the job and discard the session's outcome if the verdict is
-    /// `Err` — see [`KeygenVerifyJob`].
+    /// Returns `Some` exactly once, after the keygen step of a deferred
+    /// session whose stock was not already verified at minting time. The
+    /// caller owns the session's soundness from that point: it must settle
+    /// the job — [`KeygenVerifyJob::verify_inline`] or a
+    /// [`verify_deferred_jobs`](crate::verify_deferred_jobs) batch — and
+    /// discard the session's outcome if the verdict is `Err`.
     pub fn take_pending_verify(&mut self) -> Option<KeygenVerifyJob> {
-        self.sort.take_pending_verify()
+        self.machine.pending_verify.take()
     }
 
-    /// Donates a recycled hop scratch buffer to the sort machine. Contents
-    /// never influence the protocol ([`SortMachine::adopt_scratch`]).
-    pub fn adopt_hop_scratch(&mut self, scratch: Vec<Ciphertext>) {
-        self.sort.adopt_scratch(scratch);
+    /// Donates a recycled hop output buffer so the chain's dominant loop
+    /// starts with warm capacity instead of growing a fresh allocation.
+    ///
+    /// The buffer is cleared and fully overwritten before any use, so its
+    /// prior contents never influence the protocol — transcripts stay
+    /// bit-identical whether the scratch arrived empty, donated, or
+    /// pre-sized. Call before stepping; a later call simply replaces the
+    /// current buffer.
+    pub fn adopt_hop_scratch(&mut self, mut scratch: Vec<Ciphertext>) {
+        scratch.clear();
+        self.machine.hop_scratch = scratch;
     }
 
     /// Takes the hop scratch buffer back once the session is done, so a
     /// pool can recycle its capacity into the next session.
     pub fn take_hop_scratch(&mut self) -> Vec<Ciphertext> {
-        self.sort.take_scratch()
+        std::mem::take(&mut self.machine.hop_scratch)
     }
 
     /// Records every protocol message the parties emit from now on into
     /// `transcript`, as its wire frame. Call before the first step.
     pub fn record_transcript(&mut self, transcript: &Transcript) {
         let codec = Codec::new(self.params.group().group());
-        self.sort.tap = Some((codec, transcript.clone()));
+        self.machine.tap = Some((codec, transcript.clone()));
     }
 
     /// The outcome, once [`SessionMachine::step`] has returned
@@ -388,29 +392,12 @@ impl SessionMachine {
         if self.result.is_some() {
             return Ok(SessionStatus::Done);
         }
-        if !self.stocked {
-            // Cold fallback: generate the stock from the parties' own
-            // offline streams. A pool-attached stock comes from the same
-            // streams, so transcripts do not depend on which side did the
-            // work. A defer-verify run skips minting-time proof
-            // verification too — the check belongs to the cross-session
-            // batch; the stock bytes are identical.
-            self.stocked = true;
-            if self.sort.stock.is_none() {
-                let fp = self.offline_fingerprint();
-                self.sort.stock = Some(match self.sort_options.defer_verify {
-                    true => OfflineStock::generate_deferred(fp),
-                    false => OfflineStock::generate(fp),
-                });
-            }
-            return Ok(SessionStatus::Pending);
-        }
-        let timer = match self.sort.next_phase() {
+        let timer = match self.machine.next_phase() {
             Some(Phase::Gain) => &mut self.gain_timer,
             Some(Phase::Submit) => &mut self.submit_timer,
             _ => &mut self.sort_timer,
         };
-        if self.sort.advance(&self.log, timer)? == SortStatus::Pending {
+        if self.machine.step(&self.log, timer)? == SessionStatus::Pending {
             return Ok(SessionStatus::Pending);
         }
         self.finish()?;
@@ -421,13 +408,13 @@ impl SessionMachine {
     /// the outcome is assembled.
     fn finish(&mut self) -> Result<(), RunError> {
         let initiator = self
-            .sort
+            .machine
             .initiator
             .as_ref()
             .ok_or(RunError::Internal("no initiator"))?;
         let report = initiator.verify(&self.log, &mut self.submit_timer, 100);
         debug_assert!(report.is_clean(), "honest run must verify cleanly");
-        let parties = &self.sort.parties;
+        let parties = &self.machine.parties;
         let (q, rho) = (self.params.questionnaire(), initiator.rho as i128);
         for p in parties.iter().filter(|_| cfg!(debug_assertions)) {
             // Sanity versus the plaintext model: `ρ·p_j + ρ_j`, `0 ≤ ρ_j < ρ`.
@@ -550,6 +537,29 @@ mod tests {
             .unwrap();
         assert_eq!(a.ranks(), b.ranks());
         assert_eq!(a.traffic(), b.traffic());
+    }
+
+    #[test]
+    fn a_session_takes_its_steps_in_plan_order() {
+        // perfbench labels its per-step timings by this order: offline,
+        // gain, stock hand-out, keygen, encrypt, n compares, n hops,
+        // finish, submit — 2n + 7 steps.
+        let n = 3;
+        let mut machine = GroupRanking::new(small_params(n, 1, 5))
+            .with_random_population()
+            .into_machine()
+            .unwrap();
+        let mut phases = vec![machine.machine.next_phase()];
+        while machine.step().unwrap() == SessionStatus::Pending {
+            phases.push(machine.machine.next_phase());
+        }
+        let mut expected = vec![None, Some(Phase::Gain), None];
+        expected.extend([Some(Phase::KeyGen), Some(Phase::Encrypt)]);
+        expected.extend([Some(Phase::Compare); 3]);
+        expected.extend([Some(Phase::Hop); 4]);
+        expected.push(Some(Phase::Submit));
+        assert_eq!(phases, expected);
+        assert_eq!(phases.len(), 2 * n + 7);
     }
 
     #[test]

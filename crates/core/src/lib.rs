@@ -18,10 +18,11 @@
 //! | ranking submission | [`submit`] |
 //!
 //! Each party's side of all three phases is written once, as per-party
-//! round code in [`party`]. Two drivers run it: in process,
-//! [`GroupRanking`] / [`SessionMachine`] step every party and hand the
-//! messages across; over a channel mesh, [`run_distributed`] runs a thread
-//! per party and frames the same messages with [`wire`].
+//! round code in [`party`]. Two drivers run it: in process, one machine —
+//! behind [`GroupRanking`] / [`SessionMachine`] and the stand-alone
+//! [`unlinkable_sort`] — steps every party and hands the messages across;
+//! over a channel mesh, [`run_distributed`] runs a thread per party and
+//! frames the same messages with [`wire`].
 //!
 //! [`framework::GroupRanking`] orchestrates all three;
 //! [`games`] implements the security-game harnesses of Definitions 5/7;
@@ -89,7 +90,6 @@ pub use params::{bit_length, FrameworkParams, FrameworkParamsBuilder, ParamError
 pub use party::Transcript;
 pub use ppgr_elgamal::Ciphertext;
 pub use sorting::{
-    unlinkable_sort, verify_deferred_jobs, KeygenVerifyJob, SortError, SortMachine, SortOptions,
-    SortOutcome, SortStatus,
+    unlinkable_sort, verify_deferred_jobs, KeygenVerifyJob, SortError, SortOptions, SortOutcome,
 };
 pub use timing::PartyTimer;

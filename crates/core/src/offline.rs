@@ -242,14 +242,6 @@ impl PartyStock {
             KeyForm::Seed(_) => None,
         }
     }
-
-    fn matches_shape(&self, n: usize, l: usize) -> bool {
-        self.challenges.len() == n - 1
-            && self.enc.len() == l
-            && self.compare.len() == (n - 1) * l
-            && self.hops.len() == n - 1
-            && self.hops.iter().all(|set| set.len() == (n - 1) * l)
-    }
 }
 
 /// One session's worth of precomputed randomness (see the module docs):
@@ -287,16 +279,9 @@ impl OfflineStock {
     /// Draws every party's slice from that party's offline stream, so the
     /// result is identical to what the session itself would build cold.
     pub fn generate(fp: StockFingerprint) -> Self {
-        Self::complete(fp, None, StockTier::Keygen, true)
-    }
-
-    /// [`OfflineStock::generate`] with the minting-time proof verification
-    /// skipped (`verified` stays `false`), for sessions that settle the
-    /// keygen proofs in a cross-session batch instead (see
-    /// [`SortOptions::defer_verify`](crate::sorting::SortOptions)).
-    /// Verification draws nothing, so the stock bytes are identical.
-    pub(crate) fn generate_deferred(fp: StockFingerprint) -> Self {
-        Self::complete(fp, None, StockTier::Keygen, false)
+        Self::generate_cancellable(fp, &mut || false)
+            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+            .expect("generation with a never-cancelling hook always completes")
     }
 
     /// [`OfflineStock::generate`] stopped at the masks tier: the same
@@ -308,7 +293,9 @@ impl OfflineStock {
     /// same cold baseline; a session consuming this stock is bit-identical
     /// to one consuming the keygen tier.
     pub fn generate_masks_only(fp: StockFingerprint) -> Self {
-        Self::complete(fp, None, StockTier::Masks, true)
+        Self::seeded(fp, StockTier::Masks, &mut || false)
+            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+            .expect("generation with a never-cancelling hook always completes")
     }
 
     /// [`OfflineStock::generate`] with a cancellation hook for background
@@ -320,65 +307,51 @@ impl OfflineStock {
         fp: StockFingerprint,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Self> {
-        Self::build(fp, None, StockTier::Keygen, true, cancel)
+        Self::seeded(fp, StockTier::Keygen, cancel)
     }
 
-    /// The keygen-tier stock of a stand-alone sort whose randomness
-    /// derives from `base` (no `u64` seed, so no fingerprint), its proofs
-    /// verified at minting time unless `deferred`.
-    pub(crate) fn generate_from(
+    /// The stock for `fp`, drawn from the party streams of `fp`'s seed.
+    fn seeded(
+        fp: StockFingerprint,
+        tier: StockTier,
+        cancel: &mut dyn FnMut() -> bool,
+    ) -> Option<Self> {
+        let base = HashDrbg::seed_from_u64(fp.seed);
+        let (kind, n, l) = (fp.group, fp.participants, fp.bits);
+        let stock = Self::build(&base, kind, n, l, tier, true, cancel)?;
+        Some(OfflineStock {
+            fingerprint: Some(fp),
+            ..stock
+        })
+    }
+
+    /// Draws an `n`-party, `l`-bit stock from the party streams of `base`
+    /// and mints it up to `tier`, checking the minted proofs if
+    /// `verify_at_mint`. It carries no fingerprint: `base` need not come
+    /// from a `u64` seed.
+    pub(crate) fn build(
         base: &HashDrbg,
-        group: GroupKind,
+        kind: GroupKind,
         n: usize,
         l: usize,
-        deferred: bool,
-    ) -> Self {
-        let fp = StockFingerprint::new(0, n, l, group);
-        OfflineStock {
-            fingerprint: None,
-            ..Self::complete(fp, Some(base), StockTier::Keygen, !deferred)
-        }
-    }
-
-    /// [`OfflineStock::build`] with a never-cancelling hook.
-    fn complete(
-        fp: StockFingerprint,
-        base: Option<&HashDrbg>,
-        tier: StockTier,
-        verify_at_mint: bool,
-    ) -> Self {
-        Self::build(fp, base, tier, verify_at_mint, &mut || false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
-    }
-
-    /// Draws the stock for `fp`'s shape from the party streams of `base`
-    /// (by default, of `fp`'s seed).
-    fn build(
-        fp: StockFingerprint,
-        base: Option<&HashDrbg>,
         tier: StockTier,
         verify_at_mint: bool,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Self> {
-        let group = fp.group.group();
-        let (n, l) = (fp.participants, fp.bits);
-        let base = base
-            .cloned()
-            .unwrap_or_else(|| HashDrbg::seed_from_u64(fp.seed));
+        let group = kind.group();
         let mut parties = Vec::with_capacity(n);
         for party in 1..=n {
             if cancel() {
                 return None;
             }
-            let mut rng = party_offline_stream(&base, party);
+            let mut rng = party_offline_stream(base, party);
             parties.push(PartyStock::draw(&group, n, l, &mut rng, cancel)?);
         }
         let mut stock = OfflineStock {
             parties,
             table: None,
             verified: false,
-            fingerprint: Some(fp),
+            fingerprint: None,
         };
         if tier == StockTier::Keygen {
             stock.mint(&group, verify_at_mint, cancel)?;
@@ -437,33 +410,32 @@ impl OfflineStock {
                 )));
             }
         }
-        // Every verifier's batch check over the other parties' proofs
-        // (paper Sec. IV keygen round) reads only material minted above,
-        // so it is offline work: run it now and record the verdict.
+        // The keygen round's proof check (paper Sec. IV) reads only
+        // material minted above, so it is offline work: run it now and
+        // record the verdict.
         // Honest minting always passes; the `false` arm keeps the online
         // verification (and its blame) alive as a defence in depth.
         if cancel() {
             return None;
         }
-        let proofs: Vec<&MultiVerifierTranscript> = self
+        self.verified = verify_at_mint && self.proofs_hold(group);
+        self.table = Some(table);
+        Some(())
+    }
+
+    /// Checks every minted proof against its key in one batch — the check
+    /// the `n` verifiers make between them, since each checks the same
+    /// `n − 1` foreign proofs against the same keys. Draws nothing.
+    fn proofs_hold(&self, group: &Group) -> bool {
+        let items: Option<Vec<(&Element, &MultiVerifierTranscript)>> = self
             .parties
             .iter()
-            .filter_map(|p| match &p.proof {
-                Some(ProofForm::Minted(t)) => Some(t),
+            .map(|p| match (p.public_key(), &p.proof) {
+                (Some(key), Some(ProofForm::Minted(t))) => Some((key, t)),
                 _ => None,
             })
             .collect();
-        self.verified = verify_at_mint
-            && proofs.len() == n
-            && (0..n).all(|v| {
-                let foreign: Vec<(&Element, &MultiVerifierTranscript)> = (0..n)
-                    .filter(|&p| p != v)
-                    .map(|p| (&keys[p], proofs[p]))
-                    .collect();
-                verify_multi_batch(group, &foreign).is_ok()
-            });
-        self.table = Some(table);
-        Some(())
+        items.is_some_and(|items| verify_multi_batch(group, &items).is_ok())
     }
 
     /// Invalidates `party`'s key-knowledge proof (0-based) in a minted
@@ -496,17 +468,6 @@ impl OfflineStock {
         } else {
             StockTier::Masks
         }
-    }
-
-    /// Whether the stock holds exactly an `n`-party, `l`-bit session's
-    /// worth of material for `group`.
-    pub fn matches_shape(&self, group: &Group, n: usize, l: usize) -> bool {
-        if let Some(fp) = &self.fingerprint {
-            if fp.group != group.kind() {
-                return false;
-            }
-        }
-        self.parties.len() == n && self.parties.iter().all(|p| p.matches_shape(n, l))
     }
 
     /// Splits the stock into the parties' slices, the joint-key table (keygen
@@ -544,6 +505,13 @@ mod tests {
             .collect()
     }
 
+    /// A slice's challenge, encryption-mask and compare-mask counts and
+    /// its hop set sizes.
+    fn shape(p: &PartyStock) -> (usize, usize, usize, Vec<usize>) {
+        let hops = p.hops.iter().map(HopSet::len).collect();
+        (p.challenges.len(), p.enc.len(), p.compare.len(), hops)
+    }
+
     fn key_pair(p: &PartyStock) -> &KeyPair {
         match &p.key {
             KeyForm::Pair(pair) => pair,
@@ -561,18 +529,23 @@ mod tests {
 
     #[test]
     fn generated_stock_has_the_declared_shape() {
-        let group = GroupKind::Ecc160.group();
+        // n = 3, l = 4: per party, n − 1 challenge shares, l encryption
+        // masks, (n − 1)·l compare masks and n − 1 hop sets of (n − 1)·l.
         let stock = OfflineStock::generate(fp(7));
-        assert!(stock.matches_shape(&group, 3, 4));
-        assert!(!stock.matches_shape(&group, 4, 4));
-        assert!(!stock.matches_shape(&group, 3, 5));
-        assert!(!stock.matches_shape(&GroupKind::Dl1024.group(), 3, 4));
+        assert_eq!(stock.parties.len(), 3);
+        assert!(stock
+            .parties
+            .iter()
+            .all(|p| shape(p) == (2, 4, 8, vec![8, 8])));
         assert_eq!(stock.fingerprint(), Some(&fp(7)));
         assert_eq!(stock.tier(), StockTier::Keygen);
         assert!(stock.verified);
 
         let masks = OfflineStock::generate_masks_only(fp(7));
-        assert!(masks.matches_shape(&group, 3, 4));
+        assert!(masks
+            .parties
+            .iter()
+            .all(|p| shape(p) == (2, 4, 8, vec![8, 8])));
         assert_eq!(masks.tier(), StockTier::Masks);
     }
 
@@ -672,7 +645,7 @@ mod tests {
                     .collect()
             };
             assert_eq!(g(&own), g(slice));
-            assert!(own.matches_shape(3, 4));
+            assert_eq!(shape(&own), shape(slice));
             assert!(!own.enc.iter().any(MaskPair::has_key_half));
         }
     }
@@ -710,5 +683,19 @@ mod tests {
             panic!("keygen tier expected");
         };
         assert!(!proof.verify(&group, key_pair(&stock.parties[1]).public_key()));
+    }
+
+    #[test]
+    fn the_mint_check_rejects_a_corrupted_proof() {
+        let group = GroupKind::Ecc160.group();
+        for party in 0..3 {
+            let mut stock = OfflineStock::generate(fp(23));
+            assert!(stock.proofs_hold(&group));
+            stock.corrupt_key_proof(&group, party);
+            assert!(
+                !stock.proofs_hold(&group),
+                "party {party}'s corrupted proof must fail the check"
+            );
+        }
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! Two drivers walk the schedule:
 //!
-//! * in process, [`SortMachine`](crate::SortMachine) and
-//!   [`SessionMachine`](crate::SessionMachine) step every party and hand
+//! * in process, one machine behind [`SessionMachine`](crate::SessionMachine)
+//!   and [`run_sort`](crate::sorting::run_sort) steps every party and hands
 //!   each [`Msg`] across directly (with batch shortcuts that consume the
 //!   same stream values: keygen-tier minting, verified-at-mint or deferred
 //!   proof checks, parallel hop fan-out, pooled hop scratch);
@@ -1024,8 +1024,9 @@ impl Node for Initiator {
         Ok(vec![(vec![j], Msg::GainReply(reply))])
     }
 
-    /// Takes `P_j`'s request, or its submission — rejecting a claimed rank
-    /// beyond `n` or a malformed information vector.
+    /// Takes `P_j`'s request — rejecting one whose dimensions do not match
+    /// `P₀`'s vector — or its submission — rejecting a claimed rank beyond
+    /// `n` or a malformed information vector.
     fn receive(
         &mut self,
         round: Round,
@@ -1034,7 +1035,14 @@ impl Node for Initiator {
         _: &mut PartyTimer,
     ) -> Result<(), DistributedError> {
         match (round, msg) {
-            (Round::GainRequest(_), Msg::GainRequest(request)) => self.request = Some(request),
+            (Round::GainRequest(_), Msg::GainRequest(request)) => {
+                let d = self.v_recv.len() + 1;
+                let rows = [&request.c_prime, &request.g];
+                if !request.qx.iter().chain(rows).all(|row| row.len() == d) {
+                    return Err(violation(from, format!("gain request is not {d}-wide")));
+                }
+                self.request = Some(request);
+            }
             (Round::Submit, Msg::Submit(None)) => {}
             (Round::Submit, Msg::Submit(Some((claimed, values)))) => {
                 let n = self.params.participants();

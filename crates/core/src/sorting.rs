@@ -22,7 +22,8 @@
 //!    and counts zeros: `rank = zeros + 1`.
 
 use crate::distributed::DistributedError;
-use crate::offline::OfflineStock;
+use crate::framework::SessionStatus;
+use crate::offline::{OfflineStock, StockTier};
 use crate::party::{emit, party_stream, Codec, Initiator, Msg, Node, Party, Round, Transcript};
 use crate::timing::PartyTimer;
 use crate::wire::FIELD_BYTES;
@@ -53,15 +54,6 @@ pub enum SortError {
         /// The accused prover (1-based).
         party: usize,
     },
-    /// A pool offered an offline stock minted for a different group
-    /// instantiation. Silently regenerating would hide a mis-keyed pool
-    /// lane, so the mismatch is surfaced instead.
-    StockGroupMismatch {
-        /// The session's group.
-        expected: GroupKind,
-        /// The stock fingerprint's group.
-        got: GroupKind,
-    },
     /// A sort-machine invariant was violated (state out of sync).
     /// Reaching this indicates a bug in the driver, not bad input.
     Internal(&'static str),
@@ -76,12 +68,6 @@ impl fmt::Display for SortError {
             }
             SortError::ProofRejected { party } => {
                 write!(f, "party {party} failed the proof of key knowledge")
-            }
-            SortError::StockGroupMismatch { expected, got } => {
-                write!(
-                    f,
-                    "offline stock was minted for group {got:?}, session uses {expected:?}"
-                )
             }
             SortError::Internal(what) => write!(f, "internal invariant violated: {what}"),
         }
@@ -121,12 +107,12 @@ pub struct SortOptions {
     /// Detach the keygen proof verification from the step stream: instead
     /// of checking the proofs of key knowledge inside the keygen step, the
     /// machine stashes them as a [`KeygenVerifyJob`] for the driver to
-    /// collect (see [`SortMachine::take_pending_verify`]) and batch across
-    /// concurrent sessions through one aggregate multi-exponentiation.
-    /// Verification is RNG-free and sends no bytes, so deferring it leaves
-    /// transcripts and ranks bit-identical to the inline check; a driver
-    /// that takes a job **must** run it (or fail the session) before
-    /// trusting the outcome.
+    /// collect (see [`crate::SessionMachine::take_pending_verify`]) and
+    /// batch across concurrent sessions through one aggregate
+    /// multi-exponentiation. Verification is RNG-free and sends no bytes,
+    /// so deferring it leaves transcripts and ranks bit-identical to the
+    /// inline check; a driver that takes a job **must** run it (or fail
+    /// the session) before trusting the outcome.
     pub defer_verify: bool,
 }
 
@@ -249,11 +235,10 @@ pub struct SortTrace {
     /// Per-party key pairs (index `j-1` → party `j`).
     pub keys: Vec<KeyPair>,
     /// The final set returned to each owner (after the full chain),
-    /// *before* the owner's own final decryption.
+    /// *before* the owner's own final decryption. Owner `j` built her set
+    /// against every other party in ascending id order, before any
+    /// shuffling.
     pub returned_sets: Vec<Vec<Ciphertext>>,
-    /// The comparison opponent order used when each owner built her set
-    /// (identity ↔ position mapping before any shuffling).
-    pub opponent_order: Vec<Vec<usize>>,
 }
 
 /// Runs the protocol with default options and no trace capture.
@@ -287,8 +272,11 @@ pub fn unlinkable_sort<R: Rng + ?Sized>(
 
 /// Full-control entry point: options + trace (used by games and tests).
 ///
-/// Drives a [`SortMachine`] to completion; a machine stepped the same way
-/// with the same RNG produces bit-identical transcripts and ranks.
+/// Seats the parties from a DRBG seeded with 32 bytes drawn from `rng` —
+/// party `j` draws online from its `party-j` fork, and the cold stock
+/// comes from the `offline` fork — and drives the in-process machine a
+/// framework session runs on, without the initiator's rounds. Wire traffic
+/// is logged to `log` and per-party computation charged to `timer`.
 ///
 /// # Errors
 ///
@@ -304,33 +292,59 @@ pub fn run_sort<R: Rng + ?Sized>(
     timer: &mut PartyTimer,
     round_base: u32,
 ) -> Result<(SortOutcome, SortTrace), SortError> {
-    let mut machine = SortMachine::new(group, values, l, options, round_base)?;
-    while machine.step(rng, log, timer)? == SortStatus::Pending {}
-    machine
-        .into_result()
-        .ok_or(SortError::Internal("machine driven to Done but no result"))
+    let n = values.len();
+    if n < 2 {
+        return Err(SortError::TooFewParties(n));
+    }
+    if let Some(idx) = values.iter().position(|v| v.bits() > l) {
+        return Err(SortError::ValueTooWide { party: idx + 1 });
+    }
+    let mut seed = [0u8; 32];
+    rng.fill_bytes(&mut seed);
+    let base = HashDrbg::from_seed(seed);
+    let parties = (1..=n)
+        .zip(values)
+        .map(|(j, value)| {
+            let mut party = Party::new(group, j, n, l, options, party_stream(&base, j));
+            party.value = value.clone();
+            party
+        })
+        .collect();
+    let mut machine = Machine::new(group, base, parties, None, l, options, round_base);
+    while machine.step(log, timer)? == SessionStatus::Pending {}
+    let parties = &mut machine.parties;
+    let trace = SortTrace {
+        keys: parties
+            .iter()
+            .filter_map(|p| p.key_pair().cloned())
+            .collect(),
+        returned_sets: parties
+            .iter_mut()
+            .map(|p| std::mem::take(&mut p.own))
+            .collect(),
+    };
+    let ranks = parties.iter().map(|p| p.rank).collect();
+    Ok((SortOutcome { ranks }, trace))
 }
 
-/// What a [`SortMachine::step`] call left behind.
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub enum SortStatus {
-    /// More protocol steps remain; call [`SortMachine::step`] again.
-    Pending,
-    /// The protocol finished; collect the result with
-    /// [`SortMachine::into_result`].
-    Done,
+/// One step of the in-process plan ([`plan`]).
+#[derive(Clone, Debug)]
+enum Step {
+    /// Mints the cold stock, unless one was attached.
+    Offline,
+    /// Hands every party its slice of the stock.
+    HandOut,
+    /// Rounds of the schedule, each with the party that acts in it.
+    Rounds(Vec<(Round, usize)>),
 }
 
-/// One [`SortMachine::step`]: rounds of the schedule, each with the party
-/// that acts in it. The empty step hands the parties their stock slices.
-type Step = Vec<(Round, usize)>;
-
-/// The in-process step plan over [`Round::schedule`]: one step per phase,
-/// except that each party's comparison (with the hand-over of its τ set to
-/// `P₁`) and each chain hop is a step of its own, and the offline hand-out
-/// precedes keygen. A stand-alone sort skips the initiator's rounds.
+/// The in-process step plan over [`Round::schedule`]: the offline step,
+/// then one step per phase, except that each party's comparison (with the
+/// hand-over of its τ set to `P₁`) and each chain hop is a step of its
+/// own, and the stock hand-out precedes keygen. A stand-alone sort skips
+/// the initiator's rounds.
 fn plan(n: usize, session: bool) -> Vec<Step> {
-    let mut steps: Vec<((Phase, usize), Step)> = Vec::new();
+    let mut steps: Vec<(Option<(Phase, usize)>, Step)> = vec![(None, Step::Offline)];
     for round in Round::schedule(n) {
         let initiator = matches!(
             round,
@@ -340,18 +354,18 @@ fn plan(n: usize, session: bool) -> Vec<Step> {
             continue;
         }
         if round == Round::KeyShares {
-            steps.push(((Phase::KeyGen, usize::MAX), Vec::new()));
+            steps.push((None, Step::HandOut));
         }
         for j in (0..=n).filter(|&j| round.acts(j, n)) {
-            let key = match round {
+            let key = Some(match round {
                 Round::Compare | Round::Collect => (Phase::Compare, j),
                 Round::Hop(i) => (Phase::Hop, i),
                 Round::Finish => (Phase::Hop, n + 1),
                 r => (r.phase(), 0),
-            };
+            });
             match steps.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, step)) => step.push((round, j)),
-                None => steps.push((key, vec![(round, j)])),
+                Some((_, Step::Rounds(step))) => step.push((round, j)),
+                _ => steps.push((key, Step::Rounds(vec![(round, j)]))),
             }
         }
     }
@@ -367,23 +381,19 @@ fn party_error(e: DistributedError) -> SortError {
     }
 }
 
-/// The in-process driver of the round code ([`crate::party`]): it steps
-/// every [`Party`] (and, in a framework session, the [`Initiator`])
-/// through the schedule and hands each message across directly.
+/// The in-process driver of the round code ([`crate::party`]), behind
+/// both [`crate::SessionMachine`] and [`run_sort`]: it steps every
+/// [`Party`] (and, in a framework session, the [`Initiator`]) through
+/// [`plan`] and hands each message across directly.
 ///
-/// [`run_sort`] drives one machine to completion in a loop; the throughput
-/// runtime (`ppgr-runtime`) instead interleaves `step` calls from *many*
-/// machines on a persistent worker pool, so that while one session's
-/// strictly sequential shuffle-decrypt chain occupies a worker, other
-/// sessions' hops fill the remaining workers.
-///
-/// Granularity: one `step` call performs one protocol unit — all of key
-/// generation, all of bit encryption, or a single party's comparison batch
-/// / chain hop (the chain hops are ~89 % of the cost, so per-hop yields are
-/// what make cross-session pipelining effective). Every party draws only
-/// from its own streams, so a session's transcript and ranks are
-/// bit-identical no matter how its steps are interleaved with other
-/// sessions' — and identical to the same parties run over the mesh.
+/// Granularity: one `step` performs one protocol unit — the offline mint,
+/// the stock hand-out, all of key generation, all of bit encryption, or a
+/// single party's comparison batch / chain hop (the chain hops are ~89 %
+/// of the cost, so per-hop yields are what make cross-session pipelining
+/// effective). Every party draws only from its own streams, so a session's
+/// transcript and ranks are bit-identical no matter how its steps are
+/// interleaved with other sessions' — and identical to the same parties
+/// run over the mesh.
 ///
 /// Shortcuts over the plain rounds, all consuming the same stream values:
 /// a keygen-tier stock arrives minted (keys, proofs, joint-key table,
@@ -392,269 +402,144 @@ fn party_error(e: DistributedError) -> SortError {
 /// the joint-key table is derived once for all parties; hops fan out
 /// across worker threads and reuse one pooled buffer.
 #[derive(Debug)]
-pub struct SortMachine {
+pub(crate) struct Machine {
     group: Group,
-    values: Vec<BigUint>,
+    /// The randomness root the parties' streams fork from.
+    base: HashDrbg,
     l: usize,
     options: SortOptions,
-    n: usize,
     plan: Vec<Step>,
-    /// The next step of `plan`.
+    /// The next step of `plan`; the offline step has run once it is
+    /// nonzero.
     next: usize,
     round_base: u32,
     pub(crate) initiator: Option<Initiator>,
     pub(crate) parties: Vec<Party>,
-    /// Precomputed randomness, attached warm by a pool or generated cold at
-    /// the first step, then split among the parties.
-    pub(crate) stock: Option<OfflineStock>,
+    /// Precomputed randomness, attached warm by a pool or minted cold at
+    /// the offline step, then split among the parties.
+    stock: Option<OfflineStock>,
     /// The stock's proofs passed every verifier's check at minting time.
     verified: bool,
     /// Reusable hop output buffer (serial path): each hop writes the next
     /// version of a set here, then swaps it with the live set, so the
     /// chain's dominant loop reuses two buffers per set instead of
     /// allocating and cloning fresh vectors every hop.
-    hop_scratch: Vec<Ciphertext>,
+    pub(crate) hop_scratch: Vec<Ciphertext>,
     /// The keygen proof check stashed by a `defer_verify` run, awaiting
-    /// collection via [`SortMachine::take_pending_verify`].
-    pending_verify: Option<KeygenVerifyJob>,
+    /// collection by the driver.
+    pub(crate) pending_verify: Option<KeygenVerifyJob>,
     /// Where every message the parties emit is recorded, if anywhere.
     pub(crate) tap: Option<(Codec, Transcript)>,
-    result: Option<(SortOutcome, SortTrace)>,
 }
 
-impl SortMachine {
-    /// Validates the inputs and prepares a machine at its offline step.
-    /// The parties are seated at the first [`SortMachine::step`], from a
-    /// seed drawn from its `rng`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SortError`] (`TooFewParties`, `ValueTooWide`).
-    pub fn new(
+impl Machine {
+    /// A machine at its offline step over `parties`, seated from `base`
+    /// (party `j` draws online from `base`'s `party-j` fork), and over the
+    /// initiator of a framework session, if any. `round_base` is the paper
+    /// round the sort's traffic is logged from.
+    pub(crate) fn new(
         group: &Group,
-        values: &[BigUint],
+        base: HashDrbg,
+        parties: Vec<Party>,
+        initiator: Option<Initiator>,
         l: usize,
         options: SortOptions,
         round_base: u32,
-    ) -> Result<Self, SortError> {
-        let n = values.len();
-        if n < 2 {
-            return Err(SortError::TooFewParties(n));
-        }
-        for (idx, v) in values.iter().enumerate() {
-            if v.bits() > l {
-                return Err(SortError::ValueTooWide { party: idx + 1 });
-            }
-        }
-        Ok(SortMachine {
+    ) -> Self {
+        Machine {
             group: group.clone(),
-            values: values.to_vec(),
+            base,
             l,
             options,
-            n,
-            plan: plan(n, false),
+            plan: plan(parties.len(), initiator.is_some()),
             next: 0,
             round_base,
-            initiator: None,
-            parties: Vec::new(),
+            initiator,
+            parties,
             stock: None,
             verified: false,
             hop_scratch: Vec::new(),
             pending_verify: None,
             tap: None,
-            result: None,
-        })
-    }
-
-    /// A machine over a framework session's seated parties (values still
-    /// to come from the gain rounds) and its initiator.
-    pub(crate) fn session(
-        group: &Group,
-        initiator: Initiator,
-        parties: Vec<Party>,
-        l: usize,
-        options: SortOptions,
-    ) -> Result<Self, SortError> {
-        let n = parties.len();
-        let mut machine = Self::new(group, &vec![BigUint::zero(); n], l, options, 2)?;
-        machine.plan = plan(n, true);
-        machine.initiator = Some(initiator);
-        machine.parties = parties;
-        Ok(machine)
-    }
-
-    /// Attaches a pool-generated [`OfflineStock`] before the machine's
-    /// offline step runs, so the step finds its randomness ready instead of
-    /// generating it cold.
-    ///
-    /// # Errors
-    ///
-    /// [`SortError::StockGroupMismatch`] if the stock's fingerprint names a
-    /// different group instantiation than this session — a mis-keyed pool
-    /// lane that silently regenerating cold would hide.
-    /// [`SortError::Internal`] if the offline step has already run, a stock
-    /// is already attached, or the stock's shape does not match this
-    /// session (`n` parties, `l` bits).
-    pub fn attach_offline_stock(&mut self, stock: OfflineStock) -> Result<(), SortError> {
-        if let Some(fp) = stock.fingerprint() {
-            if fp.group != self.group.kind() {
-                return Err(SortError::StockGroupMismatch {
-                    expected: self.group.kind(),
-                    got: fp.group,
-                });
-            }
         }
-        let handed_out = self.plan[..self.next].iter().any(Vec::is_empty);
-        if handed_out || self.stock.is_some() {
-            return Err(SortError::Internal(
-                "offline stock attached after the offline step",
-            ));
+    }
+
+    /// Takes a warm `stock` for the offline step, unless that step has
+    /// run or a stock is already attached.
+    pub(crate) fn attach(&mut self, stock: OfflineStock) -> bool {
+        let open = self.next == 0 && self.stock.is_none();
+        if open {
+            self.stock = Some(stock);
         }
-        if !stock.matches_shape(&self.group, self.n, self.l) {
-            return Err(SortError::Internal("offline stock shape mismatch"));
-        }
-        self.stock = Some(stock);
-        Ok(())
+        open
     }
 
-    /// Takes the keygen proof check a [`SortOptions::defer_verify`] run
-    /// stashed, if any.
-    ///
-    /// Returns `Some` exactly once, after the keygen step of a deferred run
-    /// whose stock was not already verified at minting time. The caller
-    /// owns the session's soundness from that point: it must settle the job
-    /// — [`KeygenVerifyJob::verify_inline`] or a [`verify_deferred_jobs`]
-    /// batch — and discard the session's outcome if the verdict is `Err`.
-    pub fn take_pending_verify(&mut self) -> Option<KeygenVerifyJob> {
-        self.pending_verify.take()
-    }
-
-    /// Donates a recycled hop output buffer so the chain's dominant loop
-    /// starts with warm capacity instead of growing a fresh allocation.
-    ///
-    /// The buffer is cleared and fully overwritten before any use, so its
-    /// prior contents never influence the protocol — transcripts stay
-    /// bit-identical whether the scratch arrived empty, donated, or
-    /// pre-sized. Call before stepping; a later call simply replaces the
-    /// current buffer.
-    pub fn adopt_scratch(&mut self, mut scratch: Vec<Ciphertext>) {
-        scratch.clear();
-        self.hop_scratch = scratch;
-    }
-
-    /// Takes the hop output buffer back (e.g. after [`SortStatus::Done`])
-    /// so a pool can hand its capacity to the next session.
-    pub fn take_scratch(&mut self) -> Vec<Ciphertext> {
-        std::mem::take(&mut self.hop_scratch)
-    }
-
-    /// Whether the protocol has completed.
-    pub fn is_done(&self) -> bool {
-        self.result.is_some()
-    }
-
-    /// The phase of the next step's first round (`None` once done, or
-    /// before the offline hand-out).
+    /// The phase of the next step's first round (`None` once done, or at
+    /// the offline step and the stock hand-out).
     pub(crate) fn next_phase(&self) -> Option<Phase> {
-        let step = self.plan.get(self.next)?;
-        step.first().map(|(round, _)| round.phase())
+        match self.plan.get(self.next)? {
+            Step::Rounds(rounds) => rounds.first().map(|(round, _)| round.phase()),
+            _ => None,
+        }
     }
 
-    /// The outcome and trace, once [`SortMachine::step`] has returned
-    /// [`SortStatus::Done`]. Consumes the machine; returns `None` if the
-    /// protocol has not finished.
-    pub fn into_result(self) -> Option<(SortOutcome, SortTrace)> {
-        self.result
-    }
-
-    /// Executes the next protocol unit.
-    ///
-    /// The first call seats the parties. Their streams fork from a DRBG
-    /// seeded with 32 bytes drawn from `rng`: party `j` draws online from
-    /// its `party-j` fork, and a cold stock comes from the `offline` fork.
-    /// Wire traffic is logged to `log` and per-party computation charged
-    /// to `timer`.
+    /// Runs the next step of the plan. Offline work — the cold mint and
+    /// the hand-out — is charged to nobody's per-party ledger: that is the
+    /// point of the split.
     ///
     /// # Errors
     ///
     /// [`SortError::ProofRejected`] if a proof of key knowledge fails
     /// (reachable only via a corrupted stock in test harnesses).
-    pub fn step<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        log: &TrafficLog,
-        timer: &mut PartyTimer,
-    ) -> Result<SortStatus, SortError> {
-        if self.parties.is_empty() {
-            let mut seed = [0u8; 32];
-            rng.fill_bytes(&mut seed);
-            let base = HashDrbg::from_seed(seed);
-            for (j, value) in (1..=self.n).zip(&self.values) {
-                let rng = party_stream(&base, j);
-                let mut party = Party::new(&self.group, j, self.n, self.l, self.options, rng);
-                party.value = value.clone();
-                self.parties.push(party);
-            }
-            if self.stock.is_none() {
-                let (kind, deferred) = (self.group.kind(), self.options.defer_verify);
-                let stock = OfflineStock::generate_from(&base, kind, self.n, self.l, deferred);
-                self.stock = Some(stock);
-            }
-        }
-        self.advance(log, timer)
-    }
-
-    /// [`SortMachine::step`] for seated parties: runs the next step of the
-    /// plan, and assembles the result after the last.
-    pub(crate) fn advance(
+    pub(crate) fn step(
         &mut self,
         log: &TrafficLog,
         timer: &mut PartyTimer,
-    ) -> Result<SortStatus, SortError> {
+    ) -> Result<SessionStatus, SortError> {
         let Some(step) = self.plan.get(self.next).cloned() else {
-            return Ok(SortStatus::Done);
+            return Ok(SessionStatus::Done);
         };
         self.next += 1;
-        if step.is_empty() {
-            // Offline work is charged to nobody's per-party ledger — that
-            // is the point of the split.
-            let (slices, table, verified) = self
-                .stock
-                .take()
-                .ok_or(SortError::Internal("no offline stock at the offline step"))?
-                .into_parts();
-            if slices.len() != self.parties.len() {
-                return Err(SortError::Internal("offline stock shape mismatch"));
+        match step {
+            Step::Offline if self.stock.is_none() => {
+                let (kind, n, l) = (self.group.kind(), self.parties.len(), self.l);
+                let verify = !self.options.defer_verify;
+                let stock = OfflineStock::build(
+                    &self.base,
+                    kind,
+                    n,
+                    l,
+                    StockTier::Keygen,
+                    verify,
+                    &mut || false,
+                );
+                self.stock = Some(stock.ok_or(SortError::Internal("an uncancelled mint stopped"))?);
             }
-            for (party, slice) in self.parties.iter_mut().zip(slices) {
-                party.attach_stock(slice, table.clone());
+            Step::Offline => {}
+            Step::HandOut => {
+                let (slices, table, verified) = self
+                    .stock
+                    .take()
+                    .ok_or(SortError::Internal("no offline stock at the hand-out"))?
+                    .into_parts();
+                if slices.len() != self.parties.len() {
+                    return Err(SortError::Internal("offline stock shape mismatch"));
+                }
+                for (party, slice) in self.parties.iter_mut().zip(slices) {
+                    party.attach_stock(slice, table.clone());
+                }
+                self.verified = verified;
             }
-            self.verified = verified;
+            Step::Rounds(rounds) => {
+                for (round, from) in rounds {
+                    self.run(round, from, log, timer)?;
+                }
+            }
         }
-        for (round, from) in step {
-            self.run(round, from, log, timer)?;
-        }
-        if self.next < self.plan.len() {
-            return Ok(SortStatus::Pending);
-        }
-        let trace = SortTrace {
-            keys: self
-                .parties
-                .iter()
-                .filter_map(|p| p.key_pair().cloned())
-                .collect(),
-            returned_sets: self
-                .parties
-                .iter_mut()
-                .map(|p| std::mem::take(&mut p.own))
-                .collect(),
-            opponent_order: (0..self.n)
-                .map(|idx| (0..self.n).filter(|&o| o != idx).collect())
-                .collect(),
-        };
-        let ranks = self.parties.iter().map(|p| p.rank).collect();
-        self.result = Some((SortOutcome { ranks }, trace));
-        Ok(SortStatus::Done)
+        Ok(match self.next < self.plan.len() {
+            true => SessionStatus::Pending,
+            false => SessionStatus::Done,
+        })
     }
 
     /// Runs `from`'s part of `round`: the sender computes, and each
@@ -782,9 +667,8 @@ pub fn plain_ranks(values: &[BigUint]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offline::StockFingerprint;
+    use crate::{FrameworkParams, GroupRanking, Outcome, Questionnaire, RunError, SessionMachine};
     use ppgr_group::GroupKind;
-    use ppgr_net::TrafficSummary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -912,7 +796,6 @@ mod tests {
         assert_eq!(serial_out, parallel_out);
         assert_eq!(serial_out.ranks, vec![4, 1, 3, 1, 5]);
         assert_eq!(serial_trace.returned_sets, parallel_trace.returned_sets);
-        assert_eq!(serial_trace.opponent_order, parallel_trace.opponent_order);
     }
 
     #[test]
@@ -941,116 +824,92 @@ mod tests {
         assert_eq!(out.ranks, vec![1, 3, 2]);
     }
 
-    /// Drives one machine to completion, harvesting any deferred verify
-    /// job along the way.
-    fn drive(
-        options: SortOptions,
-        seed: u64,
-    ) -> (
-        Result<(SortOutcome, SortTrace), SortError>,
-        TrafficSummary,
-        Option<KeygenVerifyJob>,
-    ) {
-        let group = GroupKind::Ecc160.group();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let values: Vec<BigUint> = [13u64, 200, 78, 200]
-            .iter()
-            .map(|&v| BigUint::from(v))
-            .collect();
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(values.len() + 1);
-        let mut machine = SortMachine::new(&group, &values, 8, options, 0).unwrap();
+    /// A seeded `n`-party ECC-160 session under `options`.
+    fn session(n: usize, seed: u64, options: SortOptions) -> SessionMachine {
+        let params = FrameworkParams::builder(Questionnaire::synthetic(1, 2))
+            .participants(n)
+            .top_k(1)
+            .attr_bits(4)
+            .weight_bits(2)
+            .mask_bits(4)
+            .group(GroupKind::Ecc160)
+            .seed(seed)
+            .build()
+            .unwrap();
+        GroupRanking::new(params)
+            .with_random_population()
+            .into_machine_with(options)
+            .unwrap()
+    }
+
+    /// Steps `machine` until it finishes or fails, harvesting any deferred
+    /// verify job along the way.
+    fn drive(mut machine: SessionMachine) -> (Result<Outcome, RunError>, Option<KeygenVerifyJob>) {
         let mut job = None;
-        let outcome = loop {
-            match machine.step(&mut rng, &log, &mut timer) {
-                Ok(SortStatus::Pending) => {
-                    if let Some(j) = machine.take_pending_verify() {
-                        job = Some(j);
-                    }
+        loop {
+            let status = machine.step();
+            job = job.or_else(|| machine.take_pending_verify());
+            match status {
+                Ok(SessionStatus::Pending) => {}
+                Ok(SessionStatus::Done) => {
+                    break (
+                        machine
+                            .into_outcome()
+                            .ok_or(RunError::Internal("done without outcome")),
+                        job,
+                    )
                 }
-                Ok(SortStatus::Done) => {
-                    break machine
-                        .into_result()
-                        .ok_or(SortError::Internal("done without result"))
-                }
-                Err(e) => break Err(e),
+                Err(e) => break (Err(e), job),
             }
-        };
-        (outcome, log.summary(), job)
+        }
+    }
+
+    fn options(defer_verify: bool) -> SortOptions {
+        SortOptions {
+            threads: 1,
+            defer_verify,
+            ..SortOptions::default()
+        }
+    }
+
+    /// A seeded 3-party session served a keygen-tier stock whose proof of
+    /// `party` (0-based) is corrupted.
+    fn corrupted_session(seed: u64, party: usize, defer_verify: bool) -> SessionMachine {
+        let mut machine = session(3, seed, options(defer_verify));
+        let mut stock = OfflineStock::generate(machine.offline_fingerprint());
+        stock.corrupt_key_proof(&GroupKind::Ecc160.group(), party);
+        assert!(machine.attach_offline_stock(stock));
+        machine
     }
 
     #[test]
     fn deferred_verification_is_bit_identical_and_yields_a_passing_job() {
-        let inline = drive(
-            SortOptions {
-                threads: 1,
-                ..SortOptions::default()
-            },
-            31,
-        );
-        let deferred = drive(
-            SortOptions {
-                threads: 1,
-                defer_verify: true,
-                ..SortOptions::default()
-            },
-            31,
-        );
-        assert!(inline.2.is_none(), "inline run must not stash a job");
-        let job = deferred.2.expect("deferred cold run must stash a job");
+        let (inline, inline_job) = drive(session(4, 31, options(false)));
+        let (deferred, deferred_job) = drive(session(4, 31, options(true)));
+        assert!(inline_job.is_none(), "inline run must not stash a job");
+        let job = deferred_job.expect("deferred cold run must stash a job");
         assert_eq!(job.group_kind(), GroupKind::Ecc160);
         assert_eq!(job.proofs(), 4);
         assert_eq!(job.verify_inline(), Ok(()));
         // Deferring reorders work, never bytes: same ranks, same traffic.
-        let (inline_out, _) = inline.0.unwrap();
-        let (deferred_out, _) = deferred.0.unwrap();
-        assert_eq!(inline_out, deferred_out);
-        assert_eq!(inline.1, deferred.1);
+        let (inline, deferred) = (inline.unwrap(), deferred.unwrap());
+        assert_eq!(inline.ranks(), deferred.ranks());
+        assert_eq!(inline.traffic(), deferred.traffic());
     }
 
     #[test]
     fn deferred_job_blames_the_party_the_inline_check_blames() {
-        let group = GroupKind::Ecc160.group();
-        let values: Vec<BigUint> = [9u64, 2, 5].iter().map(|&v| BigUint::from(v)).collect();
-        let run = |defer: bool| {
-            let mut rng = StdRng::seed_from_u64(8);
-            let log = TrafficLog::new();
-            let mut timer = PartyTimer::new(values.len() + 1);
-            let options = SortOptions {
-                threads: 1,
-                defer_verify: defer,
-                ..SortOptions::default()
-            };
-            let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
-            let mut stock =
-                OfflineStock::generate(StockFingerprint::new(77, 3, 4, GroupKind::Ecc160));
-            stock.corrupt_key_proof(&group, 1);
-            machine.attach_offline_stock(stock).unwrap();
-            let mut job = None;
-            let verdict = loop {
-                match machine.step(&mut rng, &log, &mut timer) {
-                    Ok(SortStatus::Pending) => {
-                        if let Some(j) = machine.take_pending_verify() {
-                            job = Some(j);
-                        }
-                    }
-                    Ok(SortStatus::Done) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            (verdict, job)
-        };
-        let (inline_verdict, inline_job) = run(false);
+        let (inline_verdict, inline_job) = drive(corrupted_session(8, 1, false));
         assert!(inline_job.is_none());
         assert_eq!(
-            inline_verdict,
-            Err(SortError::ProofRejected { party: 2 }),
+            inline_verdict.unwrap_err(),
+            RunError::Sort(SortError::ProofRejected { party: 2 }),
             "inline check must blame the corrupted party"
         );
         // The deferred run sails past keygen (no bytes differ) but its job
         // carries the rejection, attributed to the same party.
-        let (deferred_verdict, deferred_job) = run(true);
-        assert_eq!(deferred_verdict, Ok(()));
+        let (deferred_verdict, deferred_job) = drive(corrupted_session(8, 1, true));
+        assert!(deferred_verdict.is_ok());
         let job = deferred_job.expect("deferred run must stash a job");
         assert_eq!(
             job.verify_inline(),
@@ -1060,43 +919,16 @@ mod tests {
 
     #[test]
     fn batched_jobs_settle_with_per_session_verdicts() {
-        let group = GroupKind::Ecc160.group();
-        let values: Vec<BigUint> = [9u64, 2, 5].iter().map(|&v| BigUint::from(v)).collect();
+        // A clean session mints cold, deferred; a corrupted stock has its
+        // minting-time verdict cleared. Either way the session parks a job.
         let job_for = |seed: u64, corrupt: Option<usize>| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let log = TrafficLog::new();
-            let mut timer = PartyTimer::new(values.len() + 1);
-            let options = SortOptions {
-                threads: 1,
-                defer_verify: true,
-                ..SortOptions::default()
+            let machine = match corrupt {
+                Some(party) => corrupted_session(seed, party, true),
+                None => session(3, seed, options(true)),
             };
-            let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
-            // The deferred draw leaves the stock's `verified` verdict unset
-            // (a `generate` stock is batch-checked at minting time and
-            // would make the session skip verification entirely, parking no
-            // job). Bytes are identical either way.
-            let mut stock = OfflineStock::generate_deferred(StockFingerprint::new(
-                seed ^ 0xa5,
-                3,
-                4,
-                GroupKind::Ecc160,
-            ));
-            if let Some(party) = corrupt {
-                stock.corrupt_key_proof(&group, party);
-            }
-            machine.attach_offline_stock(stock).unwrap();
-            loop {
-                let status = machine.step(&mut rng, &log, &mut timer).unwrap();
-                if let Some(job) = machine.take_pending_verify() {
-                    return job;
-                }
-                assert_ne!(
-                    status,
-                    SortStatus::Done,
-                    "deferred session finished without parking a verify job"
-                );
-            }
+            drive(machine)
+                .1
+                .expect("deferred session finished without parking a verify job")
         };
         let jobs = vec![
             job_for(1, None),

@@ -63,20 +63,6 @@ impl PartyTimer {
         }
         self.wall[1..].iter().sum::<Duration>() / n as u32
     }
-
-    /// Maximum over participant slots (the straggler).
-    pub fn max_participant(&self) -> Duration {
-        self.wall[1..]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// All wall-clock durations (initiator first).
-    pub fn all(&self) -> &[Duration] {
-        &self.wall
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +86,6 @@ mod tests {
         let mut t = PartyTimer::new(3);
         t.time(1, || std::thread::sleep(Duration::from_millis(2)));
         t.time(2, || std::thread::sleep(Duration::from_millis(6)));
-        assert!(t.max_participant() >= t.mean_participant());
         assert!(t.mean_participant() > Duration::ZERO);
     }
 
@@ -108,7 +93,6 @@ mod tests {
     fn empty_participant_set() {
         let t = PartyTimer::new(1);
         assert_eq!(t.mean_participant(), Duration::ZERO);
-        assert_eq!(t.max_participant(), Duration::ZERO);
     }
 
     #[test]
@@ -128,6 +112,5 @@ mod tests {
         assert_eq!(t.cpu_spent(1), Duration::from_millis(10));
         // Wall-clock feeds the participant aggregates.
         assert_eq!(t.mean_participant(), Duration::from_millis(3));
-        assert_eq!(t.max_participant(), Duration::from_millis(3));
     }
 }

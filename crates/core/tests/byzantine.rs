@@ -9,11 +9,13 @@
 //! frames at phase entry (`forge`). This mirrors a compromised process
 //! whose protocol stack is hostile while the rest of the fleet is honest.
 
+use ppgr_core::party::{Codec, Msg};
 use ppgr_core::wire::{AbortFrame, AbortKind, TAG_DATA};
 use ppgr_core::{
     run_distributed, run_distributed_with, DistributedConfig, DistributedError, DistributedFailure,
     FrameworkParams, Questionnaire,
 };
+use ppgr_dotprod::{default_field, Round1Message};
 use ppgr_group::GroupKind;
 use ppgr_hash::HashDrbg;
 use ppgr_net::{FaultPlan, Phase, PhaseBudget, Tamper};
@@ -112,6 +114,26 @@ fn corrupt_gain_message_blames_the_sender() {
     // an in-flight send to the initiator when it aborts.)
     let plan = FaultPlan::new().tamper(3, Phase::Gain, 0, Tamper::Append(vec![0xAB]));
     let failure = run_with_plan(plan, 900);
+    assert_culprit_blamed(&failure, 3);
+    assert_direct_evidence(&failure, 3);
+}
+
+#[test]
+fn malformed_gain_request_blames_the_sender() {
+    // P3's dot-product request parses, but its rows hold one element where
+    // the initiator's vector needs more: the initiator must reject it as
+    // P3's violation rather than fail while answering it.
+    let field = default_field();
+    let request = Round1Message {
+        qx: vec![vec![field.zero()]],
+        c_prime: vec![field.zero()],
+        g: vec![field.zero()],
+    };
+    let frame = Msg::GainRequest(request)
+        .encode(&Codec::new(GroupKind::Ecc160.group()))
+        .unwrap();
+    let plan = FaultPlan::new().tamper(3, Phase::Gain, 0, Tamper::Replace(frame.to_vec()));
+    let failure = run_with_plan(plan, 909);
     assert_culprit_blamed(&failure, 3);
     assert_direct_evidence(&failure, 3);
 }

@@ -6,8 +6,8 @@
 //! traffic transcripts, for arbitrary `(n, seed)`.
 
 use ppgr_core::{
-    FrameworkParams, GroupRanking, OfflineStock, Outcome, Questionnaire, SessionMachine, SortError,
-    SortMachine, SortOptions, StockFingerprint,
+    FrameworkParams, GroupRanking, OfflineStock, Outcome, Questionnaire, SessionMachine,
+    StockFingerprint,
 };
 use ppgr_group::GroupKind;
 use proptest::prelude::*;
@@ -64,44 +64,40 @@ proptest! {
 }
 
 #[test]
-fn wrong_group_stock_is_rejected_with_a_typed_error() {
-    // A mis-keyed pool lane (stock minted for a different group
-    // instantiation) must surface as `StockGroupMismatch`, not silently
-    // regenerate cold.
-    let group = GroupKind::Ecc160.group();
-    let values: Vec<_> = [3u64, 1, 2]
-        .iter()
-        .map(|&v| ppgr_bigint::BigUint::from(v))
-        .collect();
-    let mut machine =
-        SortMachine::new(&group, &values, 6, SortOptions::default(), 0).expect("machine");
-    let foreign = StockFingerprint::new(9, 3, 6, GroupKind::Ecc224);
-    let stock = OfflineStock::generate_masks_only(foreign);
-    match machine.attach_offline_stock(stock) {
-        Err(SortError::StockGroupMismatch { expected, got }) => {
-            assert_eq!(expected, GroupKind::Ecc160);
-            assert_eq!(got, GroupKind::Ecc224);
-        }
-        other => panic!("expected StockGroupMismatch, got {other:?}"),
+fn a_foreign_stock_is_refused_and_the_session_runs_cold() {
+    // A stock minted for another group, party count, bit length or seed
+    // (a mis-keyed pool lane) must never be consumed: the session refuses
+    // it and runs exactly as it would have cold.
+    let (n, seed) = (3, 77);
+    let cold = run(machine_for(n, seed));
+    let own = machine_for(n, seed).offline_fingerprint();
+    let foreign = [
+        StockFingerprint {
+            group: GroupKind::Ecc224,
+            ..own
+        },
+        StockFingerprint {
+            participants: n + 1,
+            ..own
+        },
+        StockFingerprint {
+            bits: own.bits + 1,
+            ..own
+        },
+        StockFingerprint {
+            seed: seed + 1,
+            ..own
+        },
+    ];
+    for fp in foreign {
+        let mut machine = machine_for(n, seed);
+        let stock = OfflineStock::generate_masks_only(fp);
+        assert!(
+            !machine.attach_offline_stock(stock),
+            "{fp:?} must be refused"
+        );
+        let outcome = run(machine);
+        assert_eq!(outcome.ranks(), cold.ranks());
+        assert_eq!(outcome.traffic(), cold.traffic());
     }
-}
-
-#[test]
-fn matching_group_but_wrong_shape_is_still_an_internal_error() {
-    // The group check is the typed front door; shape mismatches within
-    // the right group keep their existing internal-error path.
-    let group = GroupKind::Ecc160.group();
-    let values: Vec<_> = [3u64, 1, 2]
-        .iter()
-        .map(|&v| ppgr_bigint::BigUint::from(v))
-        .collect();
-    let mut machine =
-        SortMachine::new(&group, &values, 6, SortOptions::default(), 0).expect("machine");
-    // Right group, wrong participant count.
-    let stock =
-        OfflineStock::generate_masks_only(StockFingerprint::new(9, 4, 6, GroupKind::Ecc160));
-    assert!(matches!(
-        machine.attach_offline_stock(stock),
-        Err(SortError::Internal(_))
-    ));
 }
