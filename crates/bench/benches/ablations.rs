@@ -6,7 +6,7 @@
 //!   versus naive per-position recomputation (`O(l²)`);
 //! * the oblivious compare-exchange versus an opened (insecure)
 //!   comparison in the SS baseline;
-//! * a mix-net layer versus a bare ElGamal encryption.
+//! * fixed-base comb exponentiation versus a generic exponentiation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppgr_bigint::BigUint;
@@ -156,26 +156,6 @@ fn bench_oblivious_vs_open_compare(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_mixnet_layer(c: &mut Criterion) {
-    let group = GroupKind::Ecc160.group();
-    let mut rng = StdRng::seed_from_u64(7);
-    let kp = KeyPair::generate(&group, &mut rng);
-    let msg = vec![0xAB; 256];
-    let mut g = c.benchmark_group("ablation_mixnet");
-    g.sample_size(10);
-    g.bench_function("hybrid_layer_encrypt", |b| {
-        let mut rng = StdRng::seed_from_u64(8);
-        b.iter(|| ppgr_anon::hybrid::encrypt(&group, kp.public_key(), &msg, &mut rng));
-    });
-    g.bench_function("bare_exp_elgamal_encrypt", |b| {
-        let mut rng = StdRng::seed_from_u64(9);
-        let scheme = ExpElGamal::new(group.clone());
-        let m = group.scalar_from_u64(1);
-        b.iter(|| scheme.encrypt(kp.public_key(), &m, &mut rng));
-    });
-    g.finish();
-}
-
 fn bench_fixed_base(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_fixed_base");
     g.sample_size(20);
@@ -200,7 +180,6 @@ criterion_group!(
     bench_chain_mechanisms,
     bench_circuit_suffix_sums,
     bench_oblivious_vs_open_compare,
-    bench_mixnet_layer,
     bench_fixed_base
 );
 criterion_main!(benches);

@@ -4,19 +4,15 @@
 //! generates its offline stock inline, on the clock), *warm-masks* (a
 //! masks-only stock: scalars and `g^r` halves precomputed, keygen and
 //! `y^r` halves still online) and *warm-keygen* (the full keygen tier:
-//! pooled joint keys, assembled Schnorr proofs and `y^r` mask halves,
-//! exactly what the runtime's precompute lanes now mint) — asserts all
-//! three outcomes are bit-identical per seed, and writes
+//! pooled joint keys, assembled Schnorr proofs and `y^r` mask halves) —
+//! asserts all three outcomes are bit-identical per seed, and writes
 //! machine-readable results to `BENCH_latency.json`
 //! (schema: `crates/bench/schema/BENCH_latency.schema.json`).
 //!
 //! The warm stocks come from [`OfflineStock::generate_masks_only`] /
-//! [`OfflineStock::generate`] on the machine's own fingerprint — the
-//! same code paths the runtime's background refill lane runs — so the
-//! warm measurements are the online latency of a pool-served session
-//! without the scheduler noise of measuring through the pool itself (on
-//! a single-core host, a concurrent refill would contend with the very
-//! session it serves).
+//! [`OfflineStock::generate`] on the machine's own fingerprint, minted
+//! before the clock starts, so the warm measurements are the online
+//! latency of a session whose stock was generated ahead of time.
 //!
 //! ```text
 //! cargo run --release -p ppgr-bench --bin latency

@@ -4,7 +4,7 @@
 //! the public parameters.
 //!
 //! This module holds no protocol arithmetic. It is a loop that frames the
-//! [`Party`]/[`Initiator`] messages, plus the checks a network needs and
+//! `Party`/`Initiator` messages, plus the checks a network needs and
 //! an in-process run does not: deadlines, structural checks on received
 //! ciphertext sets, the keygen share echo, abort frames
 //! and consensus blame. The same parties run in process

@@ -208,7 +208,7 @@ impl GroupRanking {
     /// Executes all three phases.
     ///
     /// Drives a [`SessionMachine`] to completion; a machine stepped the
-    /// same way elsewhere (e.g. by the throughput runtime) produces
+    /// same way elsewhere (e.g. by a service worker pool) produces
     /// identical results.
     ///
     /// # Errors
@@ -233,7 +233,7 @@ impl GroupRanking {
     }
 
     /// Converts the orchestrator into a [`SessionMachine`], overriding the
-    /// sorting options (the throughput runtime pins `threads: 1` so each
+    /// sorting options (the service pins `threads: 1` so each
     /// session is single-threaded and the pool supplies the parallelism).
     ///
     /// # Errors
@@ -314,7 +314,7 @@ impl SessionMachine {
     }
 
     /// The fingerprint of the offline stock this session expects — what a
-    /// precompute pool must generate ([`OfflineStock::generate`]) for
+    /// caller must generate ([`OfflineStock::generate`]) for
     /// [`SessionMachine::attach_offline_stock`] to accept it.
     pub fn offline_fingerprint(&self) -> StockFingerprint {
         StockFingerprint::new(

@@ -16,8 +16,8 @@
 //! `b"offline"`, then `b"party-j"` — so a party running alone on the mesh
 //! draws exactly the scalars its slice of an in-process stock holds. Its
 //! shape is a pure function of `(n, l)` — hop randomizers are drawn even
-//! when a run disables randomization — so a precompute pool can stock
-//! sessions knowing only their parameters, not their options or inputs.
+//! when a run disables randomization — so a stock can be generated ahead
+//! of a session knowing only its parameters, not its options or inputs.
 //! A stock comes in two tiers built from the **same scalar streams**:
 //!
 //! * **masks tier** ([`generate_masks_only`](OfflineStock::generate_masks_only)):
@@ -49,8 +49,8 @@ pub const STOCK_LAYOUT: u32 = 3;
 
 /// The session shape a DRBG-generated stock was built for.
 ///
-/// A precompute pool keys its lanes by this; a session accepts an offered
-/// stock only if the fingerprint matches its own parameters exactly.
+/// A session accepts an offered stock only if the fingerprint matches its
+/// own parameters exactly.
 #[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
 pub struct StockFingerprint {
     /// The session's master seed.
@@ -135,7 +135,7 @@ impl HopSet {
 }
 
 /// One party's slice of a session's offline stock, consumed front to back
-/// by that party's round code ([`crate::party::Party`]). Every field holds
+/// by that party's round code ([`crate::party`]). Every field holds
 /// secret exponents; `{:?}` prints only the shape.
 pub struct PartyStock {
     pub(crate) key: KeyForm,
@@ -165,21 +165,12 @@ impl PartyStock {
     /// Draws one party's slice: secret, nonce, `n − 1` challenge shares,
     /// `l` encryption masks, `(n−1)·l` compare masks, then `n − 1` hop sets
     /// of `(n−1)·l` nonzero randomizers. Any change here is a new
-    /// [`STOCK_LAYOUT`]. Returns `None` once `cancel` fires.
-    pub(crate) fn draw<R: Rng + ?Sized>(
-        group: &Group,
-        n: usize,
-        l: usize,
-        rng: &mut R,
-        cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Self> {
+    /// [`STOCK_LAYOUT`].
+    pub(crate) fn draw<R: Rng + ?Sized>(group: &Group, n: usize, l: usize, rng: &mut R) -> Self {
         let secret = Secret::new(group.random_nonzero_scalar(rng));
         let nonce = SchnorrNonce::draw(group, rng);
         let challenges = (0..n - 1).map(|_| group.random_scalar(rng)).collect();
         let enc = (0..l).map(|_| MaskPair::draw(group, rng)).collect();
-        if cancel() {
-            return None;
-        }
         // A party's τ set is a deterministic homomorphic combination of
         // published bit encryptions, so it is re-randomized before it
         // joins the chain.
@@ -187,9 +178,6 @@ impl PartyStock {
         let compare = (0..set_len).map(|_| MaskPair::draw(group, rng)).collect();
         let mut hops = Vec::with_capacity(n - 1);
         for _ in 0..n - 1 {
-            if cancel() {
-                return None;
-            }
             // Nonzero: a zero multiplier would erase a plaintext, forging
             // a rank.
             hops.push(HopSet::Raw(
@@ -198,14 +186,14 @@ impl PartyStock {
                     .collect(),
             ));
         }
-        Some(PartyStock {
+        PartyStock {
             key: KeyForm::Seed(secret),
             proof: Some(ProofForm::Nonce(nonce)),
             challenges,
             enc,
             compare,
             hops,
-        })
+        }
     }
 
     /// Draws party `party`'s slice of the stock for `fp` from its own
@@ -216,9 +204,7 @@ impl PartyStock {
     pub(crate) fn generate_own(fp: &StockFingerprint, party: usize) -> Self {
         let group = fp.group.group();
         let mut rng = party_offline_stream(&HashDrbg::seed_from_u64(fp.seed), party);
-        Self::draw(&group, fp.participants, fp.bits, &mut rng, &mut || false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("a draw with a never-cancelling hook always completes")
+        Self::draw(&group, fp.participants, fp.bits, &mut rng)
     }
 
     /// Exponentiates the key share and folds it into the hop sets (the
@@ -279,9 +265,7 @@ impl OfflineStock {
     /// Draws every party's slice from that party's offline stream, so the
     /// result is identical to what the session itself would build cold.
     pub fn generate(fp: StockFingerprint) -> Self {
-        Self::generate_cancellable(fp, &mut || false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
+        Self::seeded(fp, StockTier::Keygen)
     }
 
     /// [`OfflineStock::generate`] stopped at the masks tier: the same
@@ -293,36 +277,17 @@ impl OfflineStock {
     /// same cold baseline; a session consuming this stock is bit-identical
     /// to one consuming the keygen tier.
     pub fn generate_masks_only(fp: StockFingerprint) -> Self {
-        Self::seeded(fp, StockTier::Masks, &mut || false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
-    }
-
-    /// [`OfflineStock::generate`] with a cancellation hook for background
-    /// refill workers: `cancel` is polled between parties, between hop
-    /// sets and between minting batches; once it returns `true`, generation
-    /// stops and `None` is returned. A completed generation is
-    /// bit-identical to [`OfflineStock::generate`].
-    pub fn generate_cancellable(
-        fp: StockFingerprint,
-        cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Self> {
-        Self::seeded(fp, StockTier::Keygen, cancel)
+        Self::seeded(fp, StockTier::Masks)
     }
 
     /// The stock for `fp`, drawn from the party streams of `fp`'s seed.
-    fn seeded(
-        fp: StockFingerprint,
-        tier: StockTier,
-        cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Self> {
+    fn seeded(fp: StockFingerprint, tier: StockTier) -> Self {
         let base = HashDrbg::seed_from_u64(fp.seed);
         let (kind, n, l) = (fp.group, fp.participants, fp.bits);
-        let stock = Self::build(&base, kind, n, l, tier, true, cancel)?;
-        Some(OfflineStock {
+        OfflineStock {
             fingerprint: Some(fp),
-            ..stock
-        })
+            ..Self::build(&base, kind, n, l, tier, true)
+        }
     }
 
     /// Draws an `n`-party, `l`-bit stock from the party streams of `base`
@@ -336,17 +301,11 @@ impl OfflineStock {
         l: usize,
         tier: StockTier,
         verify_at_mint: bool,
-        cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Self> {
+    ) -> Self {
         let group = kind.group();
-        let mut parties = Vec::with_capacity(n);
-        for party in 1..=n {
-            if cancel() {
-                return None;
-            }
-            let mut rng = party_offline_stream(base, party);
-            parties.push(PartyStock::draw(&group, n, l, &mut rng, cancel)?);
-        }
+        let parties = (1..=n)
+            .map(|party| PartyStock::draw(&group, n, l, &mut party_offline_stream(base, party)))
+            .collect();
         let mut stock = OfflineStock {
             parties,
             table: None,
@@ -354,26 +313,18 @@ impl OfflineStock {
             fingerprint: None,
         };
         if tier == StockTier::Keygen {
-            stock.mint(&group, verify_at_mint, cancel)?;
+            stock.mint(&group, verify_at_mint);
         }
-        Some(stock)
+        stock
     }
 
     /// The keygen tier: every party's own minting, then what needs every
     /// slice at once — the joint key's table, the `y^r` mask halves and
     /// each prover's proof assembled from the other parties' stocked
     /// challenge shares. No further stream draws.
-    fn mint(
-        &mut self,
-        group: &Group,
-        verify_at_mint: bool,
-        cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<()> {
+    fn mint(&mut self, group: &Group, verify_at_mint: bool) {
         let n = self.parties.len();
         for party in &mut self.parties {
-            if cancel() {
-                return None;
-            }
             party.mint_own(group);
         }
         let keys: Vec<Element> = self
@@ -394,9 +345,6 @@ impl OfflineStock {
             })
             .collect();
         for (party, chals) in self.parties.iter_mut().zip(challenges) {
-            if cancel() {
-                return None;
-            }
             MaskPair::fill_key_halves(group, &table, &mut party.enc);
             MaskPair::fill_key_halves(group, &table, &mut party.compare);
             if let (KeyForm::Pair(pair), Some(ProofForm::Nonce(nonce))) =
@@ -415,12 +363,8 @@ impl OfflineStock {
         // record the verdict.
         // Honest minting always passes; the `false` arm keeps the online
         // verification (and its blame) alive as a defence in depth.
-        if cancel() {
-            return None;
-        }
         self.verified = verify_at_mint && self.proofs_hold(group);
         self.table = Some(table);
-        Some(())
     }
 
     /// Checks every minted proof against its key in one batch — the check
@@ -647,28 +591,6 @@ mod tests {
             assert_eq!(g(&own), g(slice));
             assert_eq!(shape(&own), shape(slice));
             assert!(!own.enc.iter().any(MaskPair::has_key_half));
-        }
-    }
-
-    #[test]
-    fn cancellable_generation_matches_uncancelled() {
-        let a = OfflineStock::generate(fp(11));
-        let b = OfflineStock::generate_cancellable(fp(11), &mut || false).unwrap();
-        assert_eq!(hop_rs(&a), hop_rs(&b));
-        assert_eq!(g_rs(&a), g_rs(&b));
-    }
-
-    #[test]
-    fn cancellation_stops_generation() {
-        assert!(OfflineStock::generate_cancellable(fp(12), &mut || true).is_none());
-        // Cancel part-way through: after a few polls the worker gives up.
-        for after in [4, 12, 16] {
-            let mut polls = 0usize;
-            let out = OfflineStock::generate_cancellable(fp(12), &mut || {
-                polls += 1;
-                polls > after
-            });
-            assert!(out.is_none(), "cancel after {after} polls");
         }
     }
 

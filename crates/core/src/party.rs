@@ -2,11 +2,11 @@
 //! once and run by two drivers.
 //!
 //! The protocol is a fixed schedule of [`Round`]s. In each round a party
-//! ([`Node`]) sends — [`Node::send`] computes and returns its outbound
-//! messages — and receives ([`Node::receive`] takes each inbound message).
-//! A [`Party`] is one participant `P_j`: it holds its id, its key share,
-//! its own slice of the offline stock ([`PartyStock`]) and its own DRBG
-//! fork. The [`Initiator`] is `P₀`'s side: it serves the gain rounds and
+//! (a crate-private `Node`) sends — `Node::send` computes and returns its
+//! outbound messages — and receives (`Node::receive` takes each inbound
+//! message). A `Party` is one participant `P_j`: it holds its id, its key
+//! share, its own slice of the offline stock ([`PartyStock`]) and its own
+//! DRBG fork. The `Initiator` is `P₀`'s side: it serves the gain rounds and
 //! checks the submissions.
 //!
 //! Two drivers walk the schedule:
@@ -271,10 +271,10 @@ impl Msg {
 
 /// A party's outbound messages for one round: each with its receivers
 /// (several for a broadcast).
-pub type Outbox = Vec<(Vec<usize>, Msg)>;
+pub(crate) type Outbox = Vec<(Vec<usize>, Msg)>;
 
 /// One party's side of the schedule, as both drivers see it.
-pub trait Node {
+pub(crate) trait Node {
     /// Runs this party's part of `round`: computes, and returns what it
     /// sends. Computation is charged to `timer`; `scratch` is a reusable
     /// hop output buffer.
@@ -308,7 +308,7 @@ pub trait Node {
 /// A shared record of every protocol message of a session as an encoded
 /// frame, per sender (index = sender id, 0 = the initiator) in send order,
 /// each with its receiver; broadcasts appear once per receiver. Both
-/// drivers record at the one place they take a party's outbox ([`emit`]),
+/// drivers record at the one place they take a party's outbox (`emit`),
 /// so two runs of a session compare byte for byte. The mesh's share echoes
 /// and abort frames are not [`Msg`]s and are not recorded.
 #[derive(Clone, Debug, Default)]
@@ -385,7 +385,7 @@ fn violation(party: usize, what: impl Into<String>) -> DistributedError {
 }
 
 /// One participant `P_j`'s protocol state (see the module docs).
-pub struct Party {
+pub(crate) struct Party {
     id: usize,
     n: usize,
     l: usize,
@@ -496,11 +496,6 @@ impl Party {
     /// The information vector of a session participant.
     pub(crate) fn info(&self) -> Option<&InfoVector> {
         self.info.as_ref().map(|(_, info, _)| info)
-    }
-
-    /// This party's id (`1..=n`).
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// The party's key pair, once it has published its key share.
@@ -930,7 +925,7 @@ impl Node for Party {
 
 /// The initiator `P₀`: answers the dot-product rounds with the ρ-scaled
 /// criterion vector, then collects and checks the submissions.
-pub struct Initiator {
+pub(crate) struct Initiator {
     params: FrameworkParams,
     profile: InitiatorProfile,
     rng: HashDrbg,

@@ -504,16 +504,14 @@ impl Machine {
             Step::Offline if self.stock.is_none() => {
                 let (kind, n, l) = (self.group.kind(), self.parties.len(), self.l);
                 let verify = !self.options.defer_verify;
-                let stock = OfflineStock::build(
+                self.stock = Some(OfflineStock::build(
                     &self.base,
                     kind,
                     n,
                     l,
                     StockTier::Keygen,
                     verify,
-                    &mut || false,
-                );
-                self.stock = Some(stock.ok_or(SortError::Internal("an uncancelled mint stopped"))?);
+                ));
             }
             Step::Offline => {}
             Step::HandOut => {

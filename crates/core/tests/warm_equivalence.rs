@@ -1,6 +1,6 @@
 //! Warm-vs-cold equivalence properties for the offline stock tiers.
 //!
-//! A session served from the precompute pool — whether the stock carries
+//! A session served from a pregenerated offline stock — whether it carries
 //! only mask halves or the full keygen tier — must be indistinguishable
 //! on the wire from a cold session: identical ranks AND identical
 //! traffic transcripts, for arbitrary `(n, seed)`.
@@ -66,7 +66,7 @@ proptest! {
 #[test]
 fn a_foreign_stock_is_refused_and_the_session_runs_cold() {
     // A stock minted for another group, party count, bit length or seed
-    // (a mis-keyed pool lane) must never be consumed: the session refuses
+    // (a mis-keyed stock) must never be consumed: the session refuses
     // it and runs exactly as it would have cold.
     let (n, seed) = (3, 77);
     let cold = run(machine_for(n, seed));

@@ -558,7 +558,7 @@ impl EcGroup {
     }
 
     /// Batch variable-base multiplication: signed wNAF digits against
-    /// batch-normalized [`MontAffine`] tables (mixed additions), all
+    /// batch-normalized `MontAffine` tables (mixed additions), all
     /// results sharing one final field inversion. The table normalization
     /// itself shares a second inversion across *every table of the batch*,
     /// which is what lets the ladder use 7M+3S mixed additions instead of
@@ -871,7 +871,7 @@ impl EcGroup {
 
     /// Shared-recoding batch multiplication: every point times the *same*
     /// scalar. The scalar's width-4 wNAF digits are recoded once
-    /// ([`crate::msm::wnaf_digits`]) and replayed for every point; each
+    /// (`msm::wnaf_digits`) and replayed for every point; each
     /// point then needs only its odd-multiple table `{P, 3P, …, 15P}`
     /// (one doubling plus seven additions — signed digits make the
     /// negative half free) and the shared double-and-add schedule. All

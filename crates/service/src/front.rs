@@ -1,14 +1,14 @@
 //! The front door: admission control, sharded submission, and the
 //! scrape-ready metrics surface.
 
+use crate::pool::{Shard, Slot};
 use crate::ring::HashRing;
-use ppgr_core::{FrameworkParams, GroupRanking, Outcome, RunError, SortOptions};
+use ppgr_core::{FrameworkParams, GroupRanking, Outcome, RunError, SessionMachine, SortOptions};
 use ppgr_group::GroupKind;
-use ppgr_net::{CacheCounters, MetricsSnapshot, PhaseBudget};
-use ppgr_runtime::{Runtime, RuntimeConfig, SessionHandle};
+use ppgr_net::{CacheCounters, Deadline, MetricsSnapshot, PhaseBudget};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -16,10 +16,10 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
 pub struct ServiceConfig {
     /// Worker-group shards (`0` = 1). Each shard is an independent
-    /// [`Runtime`] with its own run queue, verify collector, scratch pool
-    /// and precompute lanes; sessions are routed to shards by consistent
-    /// hash of their session id, so a given id always lands on the same
-    /// shard's queues.
+    /// work-stealing pool with its own run queues, verify collector and
+    /// scratch pool; sessions are routed to shards by consistent hash of
+    /// their session id, so a given id always lands on the same shard's
+    /// queues.
     pub shards: usize,
     /// Worker threads per shard (`0` = 1). The sharded default is
     /// deliberately narrow: on one host, `shards × workers_per_shard`
@@ -29,8 +29,13 @@ pub struct ServiceConfig {
     /// sheds with [`AdmitError::Saturated`] once a shard holds this many
     /// unresolved sessions.
     pub max_in_flight: usize,
-    /// Cross-session verify batch window handed to each shard's runtime
-    /// ([`RuntimeConfig::verify_batch`]; `0`/`1` = no batching).
+    /// Cross-session verify batch window per shard (`0`/`1` = no
+    /// batching). When `> 1`, sessions built by [`Service::submit`] run
+    /// with [`SortOptions::defer_verify`]: their keygen proof checks are
+    /// settled — up to `verify_batch` sessions at a time — through one
+    /// aggregate multi-exponentiation, with per-session blame preserved.
+    /// Verification is RNG-free and sends no bytes, so batching reorders
+    /// work, never bytes.
     pub verify_batch: usize,
     /// Per-phase allowances driving the admission projection. The default
     /// ([`PhaseBudget::default`]) allows 30 s per phase.
@@ -42,11 +47,11 @@ pub struct ServiceConfig {
     /// projection check. The projection is clock-free: it reasons over
     /// budgets and queue depths only, never wall-clock timestamps.
     pub horizon: Option<Duration>,
-    /// Wall-clock budget per admitted session, enforced by the shard
-    /// runtime at step boundaries (`None` = unbounded).
+    /// Wall-clock budget per admitted session (`None` = unbounded). A
+    /// session past its budget is abandoned at the next step boundary with
+    /// [`RunError::DeadlineExceeded`], reclaiming its worker — a wedged
+    /// session cannot hold a pool thread forever.
     pub session_budget: Option<Duration>,
-    /// Offline precompute configuration for each shard's runtime.
-    pub precompute: ppgr_runtime::PrecomputeConfig,
 }
 
 impl ServiceConfig {
@@ -109,29 +114,33 @@ impl fmt::Display for AdmitError {
 
 impl Error for AdmitError {}
 
-/// Monotonic service counters (relaxed atomics: telemetry, never
-/// synchronization).
+/// Monotonic service counters, shared by the front door and every shard
+/// (relaxed atomics: telemetry, never synchronization).
 #[derive(Default)]
-struct Counters {
-    admitted: AtomicU64,
-    rejected_saturated: AtomicU64,
-    rejected_deadline: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    wire_messages: AtomicU64,
-    wire_bytes: AtomicU64,
-}
-
-/// One worker-group shard: an independent runtime plus its in-flight count.
-struct Shard {
-    runtime: Runtime,
-    in_flight: Arc<AtomicUsize>,
+pub(crate) struct Counters {
+    pub(crate) admitted: AtomicU64,
+    pub(crate) rejected_saturated: AtomicU64,
+    pub(crate) rejected_deadline: AtomicU64,
+    pub(crate) completed: AtomicU64,
+    pub(crate) failed: AtomicU64,
+    pub(crate) wire_messages: AtomicU64,
+    pub(crate) wire_bytes: AtomicU64,
+    /// Aggregate verify flushes run (batched settles of a collector).
+    pub(crate) verify_flushes: AtomicU64,
+    /// Sessions whose keygen checks were settled in those flushes.
+    pub(crate) verify_batched_sessions: AtomicU64,
+    /// Individual proofs folded into the aggregate equations.
+    pub(crate) verify_batched_proofs: AtomicU64,
+    /// Sessions that started with a recycled hop scratch buffer.
+    pub(crate) scratch_reused: AtomicU64,
 }
 
 /// A claim on a session admitted through a [`Service`].
-#[derive(Debug)]
+///
+/// The session keeps running whether or not the handle is held; dropping
+/// the handle merely discards the result.
 pub struct ServiceHandle {
-    inner: SessionHandle,
+    slot: Arc<Slot>,
     session_id: u64,
     shard: usize,
 }
@@ -141,20 +150,26 @@ impl ServiceHandle {
     ///
     /// # Errors
     ///
-    /// Whatever [`RunError`] the session produced (see
-    /// [`SessionHandle::join`]).
+    /// Whatever [`RunError`] the session itself produced,
+    /// [`RunError::Cancelled`] after a successful [`cancel`](Self::cancel),
+    /// or [`RunError::DeadlineExceeded`] for a session that outlived
+    /// [`ServiceConfig::session_budget`].
     pub fn join(self) -> Result<Outcome, RunError> {
-        self.inner.join()
+        self.slot.wait()
     }
 
-    /// Requests cooperative cancellation (see [`SessionHandle::cancel`]).
+    /// Requests cooperative cancellation: the worker abandons the session
+    /// at the next step boundary (a step in flight is never interrupted)
+    /// and the join resolves to [`RunError::Cancelled`], reclaiming the
+    /// worker for other sessions. A session that already completed is
+    /// unaffected — its result stands.
     pub fn cancel(&self) {
-        self.inner.cancel();
+        self.slot.cancel();
     }
 
     /// Whether the session has already resolved (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
+        self.slot.is_filled()
     }
 
     /// The session id the request was admitted under.
@@ -168,16 +183,29 @@ impl ServiceHandle {
     }
 }
 
+impl fmt::Debug for ServiceHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServiceHandle")
+            .field("session_id", &self.session_id)
+            .field("shard", &self.shard)
+            .field("finished", &self.is_finished())
+            .finish()
+    }
+}
+
 /// The ranking-as-a-service front door.
 ///
 /// Accepts a stream of ranking-session requests, routes each by consistent
 /// hash of its session id onto one of several worker-group shards, and
-/// sheds load it cannot serve within budget ([`AdmitError`]). Admitted
-/// sessions flow through the shard's [`Runtime`], which amortizes crypto
-/// across concurrent sessions — batched keygen proof verification, shared
-/// warm comb caches, pooled hop scratch — while keeping every session's
-/// transcript bit-identical to a solo serial run: amortization reorders
-/// work, never bytes.
+/// sheds load it cannot serve within budget ([`AdmitError`]). Each shard
+/// is a persistent work-stealing pool stepping many sessions at once; it
+/// amortizes crypto across them — batched keygen proof verification,
+/// shared warm comb caches, pooled hop scratch — while keeping every
+/// session's transcript bit-identical to a solo serial run: amortization
+/// reorders work, never bytes.
+///
+/// Dropping the service drains it: every admitted session resolves —
+/// completed, failed, cancelled or expired — before the drop returns.
 pub struct Service {
     config: ServiceConfig,
     ring: HashRing,
@@ -190,25 +218,23 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts a service per `config`: one [`Runtime`] per shard, workers
-    /// pinned, verify windows armed.
+    /// Starts a service per `config`: one worker pool per shard, verify
+    /// windows armed.
     pub fn new(config: ServiceConfig) -> Self {
-        let shards = config.resolve_shards();
-        let shard_pool = (0..shards)
-            .map(|_| Shard {
-                runtime: Runtime::new(RuntimeConfig {
-                    workers: config.resolve_workers(),
-                    session_budget: config.session_budget,
-                    precompute: config.precompute,
-                    verify_batch: config.verify_batch,
-                }),
-                in_flight: Arc::new(AtomicUsize::new(0)),
+        let counters = Arc::new(Counters::default());
+        let shards = (0..config.resolve_shards())
+            .map(|_| {
+                Shard::new(
+                    config.resolve_workers(),
+                    config.verify_batch,
+                    Arc::clone(&counters),
+                )
             })
             .collect();
         Service {
-            ring: HashRing::new(shards),
-            shards: shard_pool,
-            counters: Arc::new(Counters::default()),
+            ring: HashRing::new(config.resolve_shards()),
+            shards,
+            counters,
             kinds: Mutex::new(Vec::new()),
             config,
         }
@@ -239,7 +265,8 @@ impl Service {
     /// `session_id` is the caller's stable identifier for the request —
     /// it picks the shard (consistent hash), so retries of the same id
     /// land on the same run queues. The session itself is seeded by
-    /// `params` exactly as a solo [`GroupRanking`] run would be.
+    /// `params` exactly as a solo [`GroupRanking`] run would be, and runs
+    /// single-threaded: the shard's pool supplies the parallelism.
     ///
     /// # Errors
     ///
@@ -252,14 +279,60 @@ impl Service {
         session_id: u64,
         params: FrameworkParams,
     ) -> Result<ServiceHandle, AdmitError> {
+        let options = SortOptions {
+            threads: 1,
+            defer_verify: self.config.verify_batch > 1,
+            ..SortOptions::default()
+        };
+        let (participants, kind) = (params.participants(), params.group());
+        self.admit(session_id, participants, kind, move || {
+            GroupRanking::new(params)
+                .with_random_population()
+                .into_machine_with(options)
+                .expect("a populated ranking always builds a machine")
+        })
+    }
+
+    /// Admits (or sheds) a prebuilt [`SessionMachine`], under the same
+    /// admission control as [`Service::submit`].
+    ///
+    /// This is how a caller serves a warm session: build the machine,
+    /// attach the stock [`OfflineStock::generate`] mints for its
+    /// [`offline_fingerprint`](SessionMachine::offline_fingerprint), then
+    /// submit it. The machine keeps its own sort options, a partially
+    /// stepped machine resumes where it stood, and the keygen check of a
+    /// [`defer_verify`](SortOptions::defer_verify) machine is settled by
+    /// the shard even when the service batches nothing.
+    ///
+    /// [`OfflineStock::generate`]: ppgr_core::OfflineStock::generate
+    ///
+    /// # Errors
+    ///
+    /// As for [`Service::submit`].
+    pub fn submit_session(
+        &self,
+        session_id: u64,
+        machine: SessionMachine,
+    ) -> Result<ServiceHandle, AdmitError> {
+        let (participants, kind) = (machine.params().participants(), machine.params().group());
+        self.admit(session_id, participants, kind, || machine)
+    }
+
+    /// The one submission path: admission control on the routed shard,
+    /// then `machine` is built and queued there.
+    fn admit(
+        &self,
+        session_id: u64,
+        participants: usize,
+        kind: GroupKind,
+        machine: impl FnOnce() -> SessionMachine,
+    ) -> Result<ServiceHandle, AdmitError> {
         let shard = self.ring.route(session_id);
         let target = &self.shards[shard];
         // Reserve the in-flight slot optimistically; shed paths release it.
-        // The reservation (not a read-then-add) keeps concurrent submitters
-        // from both slipping under the window.
-        let prior = target.in_flight.fetch_add(1, Ordering::AcqRel);
+        let prior = target.reserve();
         if self.config.max_in_flight > 0 && prior >= self.config.max_in_flight {
-            target.in_flight.fetch_sub(1, Ordering::AcqRel);
+            target.release();
             self.counters
                 .rejected_saturated
                 .fetch_add(1, Ordering::Relaxed);
@@ -270,9 +343,9 @@ impl Service {
             });
         }
         if let Some(horizon) = self.config.horizon {
-            let projected = self.projected_completion(prior, params.participants());
+            let projected = self.projected_completion(prior, participants);
             if projected > horizon {
-                target.in_flight.fetch_sub(1, Ordering::AcqRel);
+                target.release();
                 self.counters
                     .rejected_deadline
                     .fetch_add(1, Ordering::Relaxed);
@@ -286,91 +359,55 @@ impl Service {
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         {
             let mut kinds = self.kinds.lock().expect("kinds mutex");
-            if !kinds.contains(&params.group()) {
-                kinds.push(params.group());
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
             }
         }
-        let options = SortOptions {
-            threads: 1,
-            defer_verify: self.config.verify_batch > 1,
-            ..SortOptions::default()
-        };
-        let machine = GroupRanking::new(params)
-            .with_random_population()
-            .into_machine_with(options)
-            .expect("a populated ranking always builds a machine");
-        let counters = Arc::clone(&self.counters);
-        let in_flight = Arc::clone(&target.in_flight);
-        let inner = target.runtime.submit_session_observed(
-            machine,
-            self.config.session_budget,
-            move |result| {
-                match result {
-                    Ok(outcome) => {
-                        counters.completed.fetch_add(1, Ordering::Relaxed);
-                        let traffic = outcome.traffic();
-                        counters
-                            .wire_messages
-                            .fetch_add(traffic.messages, Ordering::Relaxed);
-                        counters
-                            .wire_bytes
-                            .fetch_add(traffic.total_bytes, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        counters.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            },
-        );
+        let deadline = self.config.session_budget.map(Deadline::after);
         Ok(ServiceHandle {
-            inner,
+            slot: target.run(machine(), deadline),
             session_id,
             shard,
         })
     }
 
     /// A scrape-ready snapshot of the service's counters: admission and
-    /// completion totals, per-shard aggregates of the runtimes'
-    /// amortization stats, wire totals of completed sessions, and the
-    /// process-wide comb-cache counters for every group kind served.
+    /// completion totals, the shards' amortization counters, wire totals
+    /// of completed sessions, and the process-wide comb-cache counters for
+    /// every group kind served.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshot = MetricsSnapshot {
-            sessions_admitted: self.counters.admitted.load(Ordering::Relaxed),
-            sessions_rejected_saturated: self.counters.rejected_saturated.load(Ordering::Relaxed),
-            sessions_rejected_deadline: self.counters.rejected_deadline.load(Ordering::Relaxed),
-            sessions_completed: self.counters.completed.load(Ordering::Relaxed),
-            sessions_failed: self.counters.failed.load(Ordering::Relaxed),
-            sessions_in_flight: self
-                .shards
-                .iter()
-                .map(|s| s.in_flight.load(Ordering::Acquire) as u64)
-                .sum(),
-            shards: self.shards.len() as u64,
-            workers: self.shards.iter().map(|s| s.runtime.workers() as u64).sum(),
-            wire_messages: self.counters.wire_messages.load(Ordering::Relaxed),
-            wire_bytes: self.counters.wire_bytes.load(Ordering::Relaxed),
-            ..MetricsSnapshot::default()
-        };
-        for shard in &self.shards {
-            let stats = shard.runtime.stats();
-            snapshot.verify_flushes += stats.verify_flushes;
-            snapshot.verify_batched_sessions += stats.verify_batched_sessions;
-            snapshot.verify_batched_proofs += stats.verify_batched_proofs;
-            snapshot.scratch_reused += stats.scratch_reused;
-        }
+        let c = &*self.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let kinds = self.kinds.lock().expect("kinds mutex").clone();
-        for kind in kinds {
-            let stats = kind.group().comb_cache_stats();
-            snapshot.caches.push(CacheCounters {
-                label: format!("{kind:?}/comb").to_lowercase(),
-                hits: stats.hits,
-                misses: stats.misses,
-                evictions: stats.evictions,
-                entries: stats.entries,
-            });
+        MetricsSnapshot {
+            sessions_admitted: load(&c.admitted),
+            sessions_rejected_saturated: load(&c.rejected_saturated),
+            sessions_rejected_deadline: load(&c.rejected_deadline),
+            sessions_completed: load(&c.completed),
+            sessions_failed: load(&c.failed),
+            sessions_in_flight: self.shards.iter().map(|s| s.in_flight() as u64).sum(),
+            shards: self.shards.len() as u64,
+            workers: self.shards.iter().map(|s| s.workers() as u64).sum(),
+            verify_flushes: load(&c.verify_flushes),
+            verify_batched_sessions: load(&c.verify_batched_sessions),
+            verify_batched_proofs: load(&c.verify_batched_proofs),
+            scratch_reused: load(&c.scratch_reused),
+            wire_messages: load(&c.wire_messages),
+            wire_bytes: load(&c.wire_bytes),
+            caches: kinds
+                .into_iter()
+                .map(|kind| {
+                    let stats = kind.group().comb_cache_stats();
+                    CacheCounters {
+                        label: format!("{kind:?}/comb").to_lowercase(),
+                        hits: stats.hits,
+                        misses: stats.misses,
+                        evictions: stats.evictions,
+                        entries: stats.entries,
+                    }
+                })
+                .collect(),
         }
-        snapshot
     }
 }
 
@@ -388,7 +425,8 @@ impl fmt::Debug for Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppgr_core::Questionnaire;
+    use ppgr_core::{OfflineStock, Questionnaire, SortError};
+    use proptest::prelude::*;
 
     fn small_params(n: usize, seed: u64) -> FrameworkParams {
         FrameworkParams::builder(Questionnaire::synthetic(1, 2))
@@ -403,6 +441,35 @@ mod tests {
             .expect("valid params")
     }
 
+    fn solo_run(n: usize, seed: u64) -> Outcome {
+        GroupRanking::new(small_params(n, seed))
+            .with_random_population()
+            .run()
+            .expect("solo run")
+    }
+
+    fn machine(n: usize, seed: u64, defer_verify: bool) -> SessionMachine {
+        let options = SortOptions {
+            threads: 1,
+            defer_verify,
+            ..SortOptions::default()
+        };
+        GroupRanking::new(small_params(n, seed))
+            .with_random_population()
+            .into_machine_with(options)
+            .expect("machine")
+    }
+
+    /// A deferred-verify machine whose stock carries a corrupted key proof
+    /// for `party` (0-based).
+    fn corrupted_machine(n: usize, seed: u64, party: usize) -> SessionMachine {
+        let mut bad = machine(n, seed, true);
+        let mut stock = OfflineStock::generate(bad.offline_fingerprint());
+        stock.corrupt_key_proof(&GroupKind::Ecc160.group(), party);
+        assert!(bad.attach_offline_stock(stock));
+        bad
+    }
+
     #[test]
     fn admitted_sessions_match_solo_runs() {
         let service = Service::new(ServiceConfig {
@@ -411,6 +478,11 @@ mod tests {
             verify_batch: 3,
             ..ServiceConfig::default()
         });
+        // A session whose party-2 proof is corrupted rides the same
+        // batches: it alone is blamed, the good sessions are unaffected.
+        let bad = service
+            .submit_session(100, corrupted_machine(3, 880, 1))
+            .expect("admitted");
         let handles: Vec<ServiceHandle> = (0..4)
             .map(|i| {
                 service
@@ -418,19 +490,23 @@ mod tests {
                     .expect("admitted")
             })
             .collect();
+        let err = bad.join().unwrap_err();
+        assert_eq!(
+            err,
+            RunError::Sort(SortError::ProofRejected { party: 2 }),
+            "the batch must attribute the rejection to the corrupted session and party"
+        );
+        assert_eq!(err.blamed(), Some(2));
         for (i, handle) in handles.into_iter().enumerate() {
             let served = handle.join().expect("session completes");
-            let solo = GroupRanking::new(small_params(3, 7000 + i as u64))
-                .with_random_population()
-                .run()
-                .expect("solo run");
+            let solo = solo_run(3, 7000 + i as u64);
             assert_eq!(served.ranks(), solo.ranks());
             assert_eq!(served.traffic(), solo.traffic());
         }
         let m = service.metrics();
-        assert_eq!(m.sessions_admitted, 4);
+        assert_eq!(m.sessions_admitted, 5);
         assert_eq!(m.sessions_completed, 4);
-        assert_eq!(m.sessions_failed, 0);
+        assert_eq!(m.sessions_failed, 1);
         assert_eq!(m.sessions_in_flight, 0);
         assert_eq!(m.shards, 2);
         assert_eq!(m.workers, 2);
@@ -449,6 +525,149 @@ mod tests {
         assert_eq!(a.session_id(), 99);
         a.join().expect("a");
         b.join().expect("b");
+    }
+
+    #[test]
+    fn prebuilt_machines_resume_and_are_verified() {
+        // One worker, no verify window.
+        let service = Service::new(ServiceConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            ..ServiceConfig::default()
+        });
+        // A partially stepped machine resumes where it stood.
+        let mut stepped = machine(3, 7, false);
+        stepped.step().unwrap();
+        stepped.step().unwrap();
+        let served = service
+            .submit_session(1, stepped)
+            .expect("admitted")
+            .join()
+            .unwrap();
+        let solo = solo_run(3, 7);
+        assert_eq!(served.ranks(), solo.ranks());
+        assert_eq!(served.traffic(), solo.traffic());
+        // A deferral must never silently skip verification: the shard
+        // settles the stashed job inline and blames the prover.
+        let err = service
+            .submit_session(2, corrupted_machine(3, 890, 0))
+            .expect("admitted")
+            .join()
+            .unwrap_err();
+        assert_eq!(err, RunError::Sort(SortError::ProofRejected { party: 1 }));
+        assert_eq!(err.blamed(), Some(1));
+        assert_eq!(RunError::Cancelled.blamed(), None);
+        assert_eq!(RunError::DeadlineExceeded.blamed(), None);
+        // Serial on one worker: later sessions reuse the first session's
+        // hop buffer.
+        service
+            .submit(3, small_params(2, 900))
+            .expect("admitted")
+            .join()
+            .unwrap();
+        let m = service.metrics();
+        assert!(m.scratch_reused >= 1, "no hop buffer was recycled");
+        assert_eq!((m.sessions_completed, m.sessions_failed), (2, 1));
+        assert_eq!(m.verify_flushes, 0, "no window, no batched flush");
+    }
+
+    #[test]
+    fn cancelled_and_expired_sessions_release_their_in_flight_slots() {
+        let service = Service::new(ServiceConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            ..ServiceConfig::default()
+        });
+        // The single worker drives `busy` LIFO until done, so `doomed`
+        // sits queued long enough for the cancel to land.
+        let busy = service.submit(1, small_params(3, 61)).expect("admitted");
+        let doomed = service.submit(2, small_params(3, 62)).expect("admitted");
+        doomed.cancel();
+        assert_eq!(doomed.join().unwrap_err(), RunError::Cancelled);
+        assert!(busy.join().is_ok());
+        let m = service.metrics();
+        assert_eq!((m.sessions_completed, m.sessions_failed), (1, 1));
+        assert_eq!(m.sessions_in_flight, 0);
+
+        // Already expired at the first step boundary: each session is
+        // abandoned with a typed error and the worker moves on. The
+        // two-deep window admits the second pair only because the first
+        // pair released its slots.
+        let service = Service::new(ServiceConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            max_in_flight: 2,
+            session_budget: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        });
+        for pair in 0..2 {
+            let handles: Vec<ServiceHandle> = (0..2)
+                .map(|i| {
+                    service
+                        .submit(10 * pair + i, small_params(3, 71 + i))
+                        .expect("admitted")
+                })
+                .collect();
+            for handle in handles {
+                assert_eq!(handle.join().unwrap_err(), RunError::DeadlineExceeded);
+            }
+        }
+        let m = service.metrics();
+        assert_eq!((m.sessions_completed, m.sessions_failed), (0, 4));
+        assert_eq!(m.sessions_rejected_saturated, 0);
+        assert_eq!(m.sessions_in_flight, 0);
+    }
+
+    #[test]
+    fn drop_drains_every_admitted_session() {
+        let service = Service::new(ServiceConfig {
+            shards: 1,
+            workers_per_shard: 2,
+            ..ServiceConfig::default()
+        });
+        let healthy: Vec<ServiceHandle> = (0..2)
+            .map(|i| {
+                service
+                    .submit(i, small_params(2, 400 + i))
+                    .expect("admitted")
+            })
+            .collect();
+        let cancelled = service.submit(9, small_params(2, 411)).expect("admitted");
+        cancelled.cancel();
+        drop(service); // the drain must resolve every slot, failures included
+                       // The cancel races the workers: either it landed in time or the
+                       // session completed first — both resolve, neither hangs the drain.
+        match cancelled.join() {
+            Err(RunError::Cancelled) | Ok(_) => {}
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+        for handle in healthy {
+            assert!(handle.is_finished());
+            assert_eq!(handle.join().unwrap().ranks().len(), 2);
+        }
+
+        // Expired sessions, one of them also cancelled, drain as well.
+        let service = Service::new(ServiceConfig {
+            workers_per_shard: 2,
+            session_budget: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        });
+        let expired: Vec<ServiceHandle> = (0..3)
+            .map(|i| {
+                service
+                    .submit(i, small_params(2, 410 + i))
+                    .expect("admitted")
+            })
+            .collect();
+        expired[0].cancel();
+        drop(service);
+        for handle in expired {
+            assert!(handle.is_finished());
+            match handle.join() {
+                Err(RunError::Cancelled | RunError::DeadlineExceeded) => {}
+                other => panic!("an expired session must not run: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -516,26 +735,33 @@ mod tests {
         let service = Service::new(ServiceConfig {
             shards: 1,
             workers_per_shard: 2,
-            verify_batch: 2,
+            verify_batch: 3,
             ..ServiceConfig::default()
         });
-        let handles: Vec<ServiceHandle> = (0..4)
+        let handles: Vec<ServiceHandle> = (0..5)
             .map(|i| {
                 service
-                    .submit(i, small_params(3, 71 + i))
+                    .submit(i, small_params(3, 9000 + i))
                     .expect("admitted")
             })
             .collect();
-        for handle in handles {
-            handle.join().expect("session completes");
+        for (i, handle) in handles.into_iter().enumerate() {
+            let served = handle.join().expect("session completes");
+            let solo = solo_run(3, 9000 + i as u64);
+            assert_eq!(served.ranks(), solo.ranks());
+            assert_eq!(served.traffic(), solo.traffic());
         }
         let m = service.metrics();
         assert_eq!(
-            m.verify_batched_sessions, 4,
+            m.verify_batched_sessions, 5,
             "every cold deferred session must settle through the collector"
         );
-        assert_eq!(m.verify_batched_proofs, 12);
-        assert!(m.verify_flushes >= 1);
+        assert_eq!(m.verify_batched_proofs, 15);
+        assert!(
+            (1..=5).contains(&m.verify_flushes),
+            "flushes happen per window or on idle, got {}",
+            m.verify_flushes
+        );
         assert_eq!(m.caches.len(), 1, "one group kind served ⇒ one cache row");
         assert_eq!(m.caches[0].label, "ecc160/comb");
         assert!(
@@ -546,6 +772,38 @@ mod tests {
         let json = m.to_json();
         for field in MetricsSnapshot::FIELDS {
             assert!(json.contains(&format!("\"{field}\"")));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Warm keygen-tier machines, stepped by any number of workers,
+        /// produce the ranks and wire traffic of the cold solo run.
+        #[test]
+        fn warm_keygen_sessions_match_cold_solo_runs(
+            n in 2usize..5,
+            seed in 0u64..10_000,
+            workers in 1usize..=3,
+        ) {
+            let service = Service::new(ServiceConfig {
+                workers_per_shard: workers,
+                ..ServiceConfig::default()
+            });
+            let handles: Vec<ServiceHandle> = (0..2)
+                .map(|i| {
+                    let mut warm = machine(n, seed + i, false);
+                    let stock = OfflineStock::generate(warm.offline_fingerprint());
+                    assert!(warm.attach_offline_stock(stock));
+                    service.submit_session(i, warm).expect("admitted")
+                })
+                .collect();
+            for (i, handle) in handles.into_iter().enumerate() {
+                let served = handle.join().expect("warm session completes");
+                let solo = solo_run(n, seed + i as u64);
+                prop_assert_eq!(served.ranks(), solo.ranks());
+                prop_assert_eq!(served.traffic(), solo.traffic());
+            }
         }
     }
 }

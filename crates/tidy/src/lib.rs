@@ -9,7 +9,7 @@
 //!   output or a variable-time `==`;
 //! * **determinism** — all protocol randomness flows from an injected
 //!   `Rng`; no ambient `thread_rng()`/`OsRng`/wall-clock reads outside
-//!   sanctioned timing modules (the pooled runtime's bit-identical
+//!   sanctioned timing modules (the service's bit-identical
 //!   transcript guarantee rests on this);
 //! * **panic** — the protocol surface returns typed errors instead of
 //!   panicking on attacker-reachable input;

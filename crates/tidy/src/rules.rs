@@ -68,16 +68,16 @@ pub(crate) const SECRET_IDENTS: &[&str] = &[
     "shuffle_perm",
 ];
 
-/// Wall-clock identifiers that break the transcript determinism the pooled
-/// runtime's bit-identical guarantee rests on. Sanctioned timing modules
+/// Wall-clock identifiers that break the transcript determinism the
+/// service's bit-identical guarantee rests on. Sanctioned timing modules
 /// are exempt — measuring real time is their job.
 const AMBIENT_CLOCK: &[&str] = &["SystemTime", "Instant"];
 
 /// Ambient entropy identifiers. Unlike the clock these have **no**
-/// sanctioned modules: every random draw in the workspace — including the
-/// precompute pool's background refill of offline stocks — must flow from
-/// a seeded, injected `Rng`, or a warm session's transcript could never be
-/// bit-identical to its cold fallback.
+/// sanctioned modules: every random draw in the workspace — including an
+/// offline stock generated ahead of its session — must flow from a
+/// seeded, injected `Rng`, or a warm session's transcript could never be
+/// bit-identical to its cold run.
 const AMBIENT_ENTROPY: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
 
 /// Modules sanctioned to read the wall clock: the benchmark harness
@@ -101,7 +101,6 @@ const PANIC_FREE_CRATES: &[&str] = &[
     "crates/zkp/",
     "crates/dotprod/",
     "crates/smc/",
-    "crates/anon/",
     "crates/core/",
     "crates/net/",
 ];
@@ -230,8 +229,8 @@ pub fn check_determinism(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 t.line,
                 "determinism",
                 format!(
-                    "`{}` is ambient entropy: every draw — offline precompute refills \
-                     included — must come from a seeded, injected Rng, or warm and cold \
+                    "`{}` is ambient entropy: every draw — offline stocks generated \
+                     ahead included — must come from a seeded, injected Rng, or warm and cold \
                      transcripts diverge",
                     t.text
                 ),

@@ -183,9 +183,9 @@ fn deterministic_msm_batch_shape_is_silent() {
 fn pooled_verify_collector_shape_is_silent() {
     // The cross-session verify collector parks only published values —
     // key statements and their transcripts — so it needs no secret
-    // registry entries; the shape is clean on the runtime and core paths.
+    // registry entries; the shape is clean on the service and core paths.
     for path in [
-        "crates/runtime/src/fixture.rs",
+        "crates/service/src/fixture.rs",
         "crates/core/src/fixture.rs",
     ] {
         assert!(rules_for(path, fixture!("verify_pool_good.rs")).is_empty());

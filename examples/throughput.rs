@@ -1,5 +1,6 @@
-//! Multi-session throughput: many independent ranking sessions on one
-//! persistent work-stealing pool, versus the same sessions back-to-back.
+//! Multi-session throughput: many independent ranking sessions served by
+//! one service shard (a persistent work-stealing pool), versus the same
+//! sessions back-to-back.
 //!
 //! Each session's shuffle-decrypt chain stays strictly sequential (the
 //! unlinkability invariant), but sessions share nothing — so while one
@@ -12,7 +13,7 @@
 
 use ppgr::core::{FrameworkParams, GroupRanking, Questionnaire};
 use ppgr::group::GroupKind;
-use ppgr::runtime::Runtime;
+use ppgr::service::{Service, ServiceConfig};
 use std::time::Instant;
 
 fn params_for(seed: u64) -> FrameworkParams {
@@ -30,11 +31,12 @@ fn params_for(seed: u64) -> FrameworkParams {
 
 fn main() {
     let sessions = 6;
-    let runtime = Runtime::default();
-    println!(
-        "submitting {sessions} ECC-160 n=4 sessions to a {}-worker pool…",
-        runtime.workers()
-    );
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let service = Service::new(ServiceConfig {
+        workers_per_shard: workers,
+        ..ServiceConfig::default()
+    });
+    println!("submitting {sessions} ECC-160 n=4 sessions to a {workers}-worker pool…");
 
     // Baseline: the same sessions back-to-back, one at a time.
     let serial_start = Instant::now();
@@ -51,7 +53,7 @@ fn main() {
     // Pooled: submit everything, then join.
     let pooled_start = Instant::now();
     let handles: Vec<_> = (0..sessions)
-        .map(|i| runtime.submit(params_for(i)))
+        .map(|i| service.submit(i, params_for(i)).expect("admitted"))
         .collect();
     let pooled: Vec<_> = handles
         .into_iter()

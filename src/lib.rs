@@ -13,21 +13,13 @@
 //!   multiparty sorting protocol, security-game harness).
 //! * [`bigint`], [`group`], [`elgamal`], [`zkp`], [`dotprod`] — the
 //!   cryptographic substrates, all implemented from scratch.
-//! * [`runtime`] — the multi-session throughput runtime: a persistent
-//!   work-stealing worker pool executing many ranking sessions
-//!   concurrently with cross-session hop pipelining.
-//! * [`service`] — the ranking-as-a-service front door: sharded session
-//!   routing, budget-driven admission control, and cross-session crypto
-//!   amortization on top of the runtime.
+//! * [`service`] — ranking as a service: many sessions stepped
+//!   concurrently on sharded work-stealing pools, behind budget-driven
+//!   admission control, with cross-session crypto amortization.
 //! * [`smc`] — the Shamir/BGW secret-sharing baseline (“SS framework”).
 //! * [`net`] — in-memory transports, traffic metrics, and the NS2-substitute
 //!   discrete-event network simulator.
 //! * [`hash`] — SHA-256 / HMAC / HKDF / DRBG.
-//! * [`anon`] — the Brickell–Shmatikov anonymous-collection mix-net the
-//!   paper's shuffle borrows from.
-//! * [`paillier`] — the additively homomorphic alternative the paper
-//!   discusses and rejects (Sec. II), implemented so the argument can be
-//!   checked.
 //!
 //! # Quickstart
 //!
@@ -60,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
 
-pub use ppgr_anon as anon;
 pub use ppgr_bigint as bigint;
 pub use ppgr_core as core;
 pub use ppgr_dotprod as dotprod;
@@ -68,8 +59,6 @@ pub use ppgr_elgamal as elgamal;
 pub use ppgr_group as group;
 pub use ppgr_hash as hash;
 pub use ppgr_net as net;
-pub use ppgr_paillier as paillier;
-pub use ppgr_runtime as runtime;
 pub use ppgr_service as service;
 pub use ppgr_smc as smc;
 pub use ppgr_zkp as zkp;

@@ -1,14 +1,11 @@
 //! Offline/online split properties: a session served from a precomputed
 //! offline stock must be bit-identical — ranks *and* wire transcript — to
-//! the same session generating its stock inline, for any worker count,
-//! whether the stock is attached by hand or drawn from the runtime's
-//! background precompute pool.
+//! the same session generating its stock inline, for any worker count.
 
 use ppgr::core::{
     FrameworkParams, GroupRanking, OfflineStock, Outcome, Questionnaire, SortOptions,
 };
 use ppgr::group::GroupKind;
-use ppgr::runtime::{PrecomputeConfig, Runtime, RuntimeConfig};
 use proptest::prelude::*;
 
 fn params_for(n: usize, seed: u64) -> FrameworkParams {
@@ -40,8 +37,8 @@ fn cold_run(n: usize, seed: u64, workers: usize) -> Outcome {
     machine.into_outcome().expect("cold outcome")
 }
 
-/// Warm run: the stock is generated up front (the pool's refill path) and
-/// attached before the first step.
+/// Warm run: the stock is generated up front and attached before the
+/// first step.
 fn warm_run(n: usize, seed: u64, workers: usize) -> Outcome {
     let options = SortOptions {
         threads: workers,
@@ -80,52 +77,4 @@ proptest! {
         prop_assert_eq!(cold.ranks(), warm.ranks());
         prop_assert_eq!(cold.traffic(), warm.traffic());
     }
-
-    /// A pool-served session equals the solo cold run of the same derived
-    /// seed, for any runtime worker count — whether the lane was already
-    /// stocked (warm hit) or the machine fell back to inline generation
-    /// (cold miss) must be unobservable in the outcome.
-    #[test]
-    fn pool_served_sessions_match_solo_runs(
-        n in 2usize..=3,
-        base in 0u64..1_000_000,
-        workers in 1usize..=3,
-    ) {
-        let runtime = Runtime::new(RuntimeConfig {
-            workers,
-            session_budget: None,
-            verify_batch: 0,
-            precompute: PrecomputeConfig { depth: 2, refill_workers: 1 },
-        });
-        let gid = runtime.register_group(params_for(n, base));
-        let handles: Vec<_> = (0..2).map(|_| runtime.submit_group(gid)).collect();
-        for (k, handle) in handles.into_iter().enumerate() {
-            let pooled = handle.join().expect("pooled run");
-            let solo = cold_run(n, base.wrapping_add(k as u64), 1);
-            prop_assert_eq!(pooled.ranks(), solo.ranks(), "session {}", k);
-            prop_assert_eq!(pooled.traffic(), solo.traffic(), "session {}", k);
-        }
-    }
-}
-
-/// Dropping the runtime while refill lanes are mid-generation must cancel
-/// the in-progress stocks and return promptly instead of finishing them —
-/// the test fails by hanging if cancellation regresses.
-#[test]
-fn runtime_drop_cancels_in_progress_refills() {
-    let runtime = Runtime::new(RuntimeConfig {
-        workers: 1,
-        session_budget: None,
-        verify_batch: 0,
-        precompute: PrecomputeConfig {
-            depth: 4,
-            refill_workers: 2,
-        },
-    });
-    // Deep lanes of a large group: the refill workers are guaranteed to be
-    // inside `generate_cancellable` when the drop lands.
-    for i in 0..4u64 {
-        let _ = runtime.register_group(params_for(8, 10_000 * (i + 1)));
-    }
-    drop(runtime);
 }

@@ -120,19 +120,19 @@ proptest! {
         prop_assert_eq!(serial, plain_ranks(&as_big));
     }
 
-    /// N sessions interleaved on the throughput runtime are bit-identical
+    /// N sessions interleaved on a service shard are bit-identical
     /// to the same sessions run solo and serially: same ranks, same wire
     /// transcript (byte counts, rounds, labels). Each session owns its
     /// seeded DRBG and its steps stay strictly sequential, so no worker
     /// count or steal schedule can perturb a transcript.
     #[test]
-    fn runtime_sessions_match_solo_serial_runs(
+    fn service_sessions_match_solo_serial_runs(
         base_seed in 0u64..1_000,
         workers in 1usize..5,
         sessions in 2usize..5,
     ) {
         use ppgr::core::{FrameworkParams, GroupRanking, Questionnaire};
-        use ppgr::runtime::Runtime;
+        use ppgr::service::{Service, ServiceConfig};
 
         let params_for = |seed: u64| {
             FrameworkParams::builder(Questionnaire::synthetic(1, 1))
@@ -146,9 +146,15 @@ proptest! {
                 .build()
                 .unwrap()
         };
-        let runtime = Runtime::with_workers(workers);
+        let service = Service::new(ServiceConfig {
+            workers_per_shard: workers,
+            ..ServiceConfig::default()
+        });
         let handles: Vec<_> = (0..sessions)
-            .map(|i| runtime.submit(params_for(base_seed + i as u64)))
+            .map(|i| {
+                let seed = base_seed + i as u64;
+                service.submit(seed, params_for(seed)).expect("admitted")
+            })
             .collect();
         for (i, handle) in handles.into_iter().enumerate() {
             let pooled = handle.join().unwrap();
